@@ -25,22 +25,34 @@ best-conditioned degree amplify sample noise; they are reported, not fixed.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .harmonics import FieldSamples, GridResolutionWarning, project
-from .multipole import (CoefficientSet, Medium, coefficient_deviation, mode_count,
-                        mode_slot, modes_upto)
-from .specfun import _hankel1_upto
+from .harmonics import FieldSamples, mode_degrees, project_all
+from .multipole import CoefficientSet, Medium, coefficient_deviation, mode_deviations
+from .specfun import radial_factors
 
 ROUTE_RADIAL = "radial"
 ROUTE_TAN_E = "tangential-E"
 ROUTE_TAN_H = "tangential-H"
 
 DEFAULT_CONDITION_THRESHOLD = 1e6
+
+# How each route recovers (a_E, a_M): the field it projects, the projection
+# kind, and the per-degree divisor of that projection as a function of
+# (x0, Z0, sqrt(l(l+1)), h_l, D_l) -- the inversion constants listed above.
+_ROUTE_TERMS = {
+    ROUTE_RADIAL: (("E", "Yr", lambda x0, z0, root, h, d: z0 * h * root / x0),
+                   ("H", "Yr", lambda x0, z0, root, h, d: -h * root / x0)),
+    ROUTE_TAN_E: (("E", "Z", lambda x0, z0, root, h, d: 1j * z0 * d / x0),
+                  ("E", "X", lambda x0, z0, root, h, d: z0 * h)),
+    ROUTE_TAN_H: (("H", "X", lambda x0, z0, root, h, d: h),
+                  ("H", "Z", lambda x0, z0, root, h, d: d / (1j * x0))),
+}
 
 
 class ConditioningWarning(UserWarning):
@@ -81,18 +93,9 @@ class EquivalenceResult:
         return (self.radial, self.tangential_e, self.tangential_h)
 
 
-def _divisors(medium: Medium, r0: float, l_max: int):
-    """(h_l(kr0), D_l(kr0)) for l = 1..l_max, indexed by l - 1."""
-    x0 = medium.k * r0
-    h = _hankel1_upto(l_max, np.asarray(x0, float))
-    ls = np.arange(1, l_max + 1)
-    d = x0 * h[ls - 1] - ls * h[ls]
-    return h[1:], d
-
-
 def route_condition(route: str, medium: Medium, r0: float, l_max: int) -> Dict[int, float]:
     """Per-degree magnitude of the largest divisor the route uses."""
-    h, d = _divisors(medium, r0, l_max)
+    h, d = radial_factors(l_max, medium.k * r0)
     if route == ROUTE_RADIAL:
         mags = np.abs(h)
     elif route in (ROUTE_TAN_E, ROUTE_TAN_H):
@@ -107,108 +110,56 @@ def _amplification(condition: Dict[int, float]) -> Dict[int, float]:
     return {l: c / best for l, c in condition.items()}
 
 
-def _warn_if_ill_conditioned(route: str, condition: Dict[int, float], threshold: float):
-    amp = _amplification(condition)
-    bad = sorted(l for l, a in amp.items() if a > threshold)
+def _extract(route: str, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int,
+             condition_threshold: float):
+    """One route's coefficients from the samples it reads, and its condition indicators."""
+    samples = {kind: {"E": e, "H": h}[kind] for kind, _, _ in _ROUTE_TERMS[route]}
+    for kind, fields in samples.items():
+        if fields.field_kind != kind:
+            raise ValueError(f"expected {kind} samples, got {fields.field_kind}")
+        if fields.medium is None:
+            raise ValueError("samples must carry their medium for extraction")
+    first, *rest = samples.values()
+    for other in rest:
+        if not first.grid.same_geometry(other.grid):
+            raise ValueError("E and H samples must share one grid")
+        if first.medium != other.medium:
+            raise ValueError("E and H samples must share one medium")
+    med = first.medium
+    r0 = first.grid.r0
+    condition = route_condition(route, med, r0, l_max)
+    bad = sorted(l for l, a in _amplification(condition).items() if a > condition_threshold)
     if bad:
         warnings.warn(
             f"{route} extraction: degrees {bad} are deeply evanescent on this "
-            f"sphere (divisor amplification above {threshold:g}); recovered "
+            f"sphere (divisor amplification above {condition_threshold:g}); recovered "
             f"coefficients there amplify sample noise",
             ConditioningWarning, stacklevel=3)
-    return amp
-
-
-def _require(samples: FieldSamples, kind: str, l_max: int):
-    if samples.field_kind != kind:
-        raise ValueError(f"expected {kind} samples, got {samples.field_kind}")
-    if samples.medium is None:
-        raise ValueError("samples must carry their medium for extraction")
-    if samples.grid.l_max < l_max:
-        warnings.warn(
-            f"extracting to l_max={l_max} from a grid declared exact only to "
-            f"l_max={samples.grid.l_max}",
-            GridResolutionWarning, stacklevel=3)
+    x0 = med.k * r0
+    h_l, d_l = radial_factors(l_max, x0)
+    l = mode_degrees(l_max)
+    a_e, a_m = (project_all(samples[kind], projection, l_max)
+                / divisor(x0, med.z0, np.sqrt(l * (l + 1.0)), h_l[l - 1], d_l[l - 1])
+                for kind, projection, divisor in _ROUTE_TERMS[route])
+    return CoefficientSet(l_max, med, a_e, a_m), condition
 
 
 def extract_radial(e: FieldSamples, h: FieldSamples, l_max: int,
                    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
     """Coefficients from the radial components of E and H alone."""
-    _require(e, "E", l_max)
-    _require(h, "H", l_max)
-    if not e.grid.same_geometry(h.grid):
-        raise ValueError("E and H samples must share one grid")
-    if e.medium != h.medium:
-        raise ValueError("E and H samples must share one medium")
-    med = e.medium
-    r0 = e.grid.r0
-    x0 = med.k * r0
-    hank, _ = _divisors(med, r0, l_max)
-    _warn_if_ill_conditioned(ROUTE_RADIAL, route_condition(ROUTE_RADIAL, med, r0, l_max),
-                             condition_threshold)
-    a_e = np.zeros(mode_count(l_max), complex)
-    a_m = np.zeros(mode_count(l_max), complex)
-    for mode in modes_upto(l_max):
-        scale = x0 / np.sqrt(mode.l * (mode.l + 1.0))
-        slot = mode_slot(mode.l, mode.m)
-        a_e[slot] = project(e, "Yr", mode) * scale / (med.z0 * hank[mode.l - 1])
-        a_m[slot] = -project(h, "Yr", mode) * scale / hank[mode.l - 1]
-    return CoefficientSet(l_max, med, a_e, a_m)
+    return _extract(ROUTE_RADIAL, e, h, l_max, condition_threshold)[0]
 
 
 def extract_tangential_e(e: FieldSamples, l_max: int,
                          condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
     """Coefficients from the tangential components of E alone."""
-    _require(e, "E", l_max)
-    med = e.medium
-    r0 = e.grid.r0
-    x0 = med.k * r0
-    hank, d = _divisors(med, r0, l_max)
-    _warn_if_ill_conditioned(ROUTE_TAN_E, route_condition(ROUTE_TAN_E, med, r0, l_max),
-                             condition_threshold)
-    a_e = np.zeros(mode_count(l_max), complex)
-    a_m = np.zeros(mode_count(l_max), complex)
-    for mode in modes_upto(l_max):
-        slot = mode_slot(mode.l, mode.m)
-        a_m[slot] = project(e, "X", mode) / (med.z0 * hank[mode.l - 1])
-        a_e[slot] = project(e, "Z", mode) * x0 / (1j * med.z0 * d[mode.l - 1])
-    return CoefficientSet(l_max, med, a_e, a_m)
+    return _extract(ROUTE_TAN_E, e, None, l_max, condition_threshold)[0]
 
 
 def extract_tangential_h(h: FieldSamples, l_max: int,
                          condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
     """Coefficients from the tangential components of H alone."""
-    _require(h, "H", l_max)
-    med = h.medium
-    r0 = h.grid.r0
-    x0 = med.k * r0
-    hank, d = _divisors(med, r0, l_max)
-    _warn_if_ill_conditioned(ROUTE_TAN_H, route_condition(ROUTE_TAN_H, med, r0, l_max),
-                             condition_threshold)
-    a_e = np.zeros(mode_count(l_max), complex)
-    a_m = np.zeros(mode_count(l_max), complex)
-    for mode in modes_upto(l_max):
-        slot = mode_slot(mode.l, mode.m)
-        a_e[slot] = project(h, "X", mode) / hank[mode.l - 1]
-        a_m[slot] = project(h, "Z", mode) * 1j * x0 / d[mode.l - 1]
-    return CoefficientSet(l_max, med, a_e, a_m)
-
-
-def _report(route: str, coeffs: CoefficientSet, r0: float, flag_threshold: float,
-            reference: Optional[CoefficientSet] = None) -> ExtractionReport:
-    condition = route_condition(route, coeffs.medium, r0, coeffs.l_max)
-    amp = _amplification(condition)
-    flagged = tuple(sorted(l for l, a in amp.items() if a > flag_threshold))
-    residuals = None
-    if reference is not None:
-        scale = max(coeffs.max_abs(), reference.max_abs())
-        residuals = np.zeros((mode_count(coeffs.l_max), 2))
-        for col, (got, want) in enumerate(((coeffs.a_e, reference.a_e),
-                                           (coeffs.a_m, reference.a_m))):
-            denom = np.maximum(np.abs(got), np.abs(want))
-            live = denom > 1e-12 * scale  # same zero floor as coefficient_deviation
-            residuals[live, col] = np.abs(got - want)[live] / denom[live]
-    return ExtractionReport(route, coeffs, condition, amp, flagged, residuals)
+    return _extract(ROUTE_TAN_H, None, h, l_max, condition_threshold)[0]
 
 
 def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int,
@@ -221,20 +172,13 @@ def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int,
     radial-only data determines the same coefficients as tangential-E or
     tangential-H data. Per-route conditioning warnings propagate unchanged.
     """
-    c_rad = extract_radial(e, h, l_max, condition_threshold)
-    c_te = extract_tangential_e(e, l_max, condition_threshold)
-    c_th = extract_tangential_h(h, l_max, condition_threshold)
-    r0 = e.grid.r0
-    reports = {
-        ROUTE_RADIAL: _report(ROUTE_RADIAL, c_rad, r0, flag_threshold, reference),
-        ROUTE_TAN_E: _report(ROUTE_TAN_E, c_te, r0, flag_threshold, reference),
-        ROUTE_TAN_H: _report(ROUTE_TAN_H, c_th, r0, flag_threshold, reference),
-    }
-    pairwise = {}
-    names = (ROUTE_RADIAL, ROUTE_TAN_E, ROUTE_TAN_H)
-    sets = (c_rad, c_te, c_th)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pairwise[(names[i], names[j])] = coefficient_deviation(sets[i], sets[j])
-    return EquivalenceResult(reports[ROUTE_RADIAL], reports[ROUTE_TAN_E], reports[ROUTE_TAN_H],
-                             pairwise, max(pairwise.values()))
+    reports = []
+    for route in (ROUTE_RADIAL, ROUTE_TAN_E, ROUTE_TAN_H):
+        coeffs, condition = _extract(route, e, h, l_max, condition_threshold)
+        amp = _amplification(condition)
+        flagged = tuple(sorted(l for l, a in amp.items() if a > flag_threshold))
+        residuals = None if reference is None else mode_deviations(coeffs, reference)
+        reports.append(ExtractionReport(route, coeffs, condition, amp, flagged, residuals))
+    pairwise = {(a.route, b.route): coefficient_deviation(a.coeffs, b.coeffs)
+                for a, b in itertools.combinations(reports, 2)}
+    return EquivalenceResult(*reports, pairwise, max(pairwise.values()))

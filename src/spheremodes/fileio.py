@@ -207,9 +207,12 @@ def read_field_file(path) -> FieldFileData:
         for name, cell in zip(header, row):
             data[name].append(cell.strip())
 
-    theta = np.array([float(v) for v in data["theta_rad"]])
-    if not np.allclose(theta, grid.theta, rtol=0.0, atol=1e-12):
-        raise FormatError(f"{path}: node thetas do not match the declared grid")
+    for name, declared in (("theta_rad", grid.theta), ("phi_rad", grid.phi),
+                           ("weight_sr", grid.weights)):
+        if name not in data:
+            raise FormatError(f"{path}: column {name} missing")
+        if not np.allclose([float(v) for v in data[name]], declared, rtol=0.0, atol=1e-12):
+            raise FormatError(f"{path}: column {name} does not match the declared grid")
 
     columns: Dict[str, Optional[np.ndarray]] = {}
     for name in FIELD_COLUMNS:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import ModeIndex, legendre_theta_kernel
+from .specfun import ModeIndex, legendre_theta_kernel, legendre_theta_orders
 
 PROJECTION_KINDS = ("X", "Z", "Yr")
 
@@ -31,32 +31,48 @@ class GridResolutionWarning(UserWarning):
 REDUCTION_BLOCK = 64
 
 
-def fixed_order_sum(values: np.ndarray):
-    """Deterministic reduction of a 1-d array.
+def mode_count(l_max: int) -> int:
+    """Number of radiating modes with 1 <= l <= l_max: l_max (l_max + 2)."""
+    return l_max * (l_max + 2)
 
-    The array is cut into fixed 64-element blocks; each block's partial is
+
+def mode_slot(l, m):
+    """Dense storage index of mode (l, m): l ascending, m ascending within l."""
+    return l * l + l + m - 1
+
+
+def mode_degrees(l_max: int) -> np.ndarray:
+    """Degree l of every mode slot up to l_max, in storage order."""
+    ls = np.arange(1, l_max + 1)
+    return np.repeat(ls, 2 * ls + 1)
+
+
+def fixed_order_sum(values: np.ndarray):
+    """Deterministic reduction along the last axis.
+
+    Each row is cut into fixed 64-element blocks; each block's partial is
     np.sum over that contiguous block, and the partials are combined along a
-    binary tree that depends only on the array length. A parallel caller that
+    binary tree that depends only on the row length. A parallel caller that
     computes block partials the same way gets a bit-identical result no
-    matter in which order its workers finish.
+    matter in which order its workers finish, and every row of a 2-d input
+    reduces exactly as it would alone.
     """
     values = np.asarray(values)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n == 0:
-        return values.dtype.type(0)
-    n_full = (n // REDUCTION_BLOCK) * REDUCTION_BLOCK
-    parts = []
-    if n_full:
-        parts.append(values[:n_full].reshape(-1, REDUCTION_BLOCK).sum(axis=1))
+        return np.zeros(values.shape[:-1], values.dtype)[()]
+    n_full = n - n % REDUCTION_BLOCK
+    blocks = np.add.reduce(
+        values[..., :n_full].reshape(values.shape[:-1] + (-1, REDUCTION_BLOCK)), axis=-1)
+    # python scalars add exactly like numpy ones and cost less per add
+    partials = blocks.tolist() if blocks.ndim == 1 else list(np.moveaxis(blocks, -1, 0))
     if n_full < n:
-        parts.append(np.atleast_1d(values[n_full:].sum()))
-    partials = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    while partials.shape[0] > 1:
-        even = partials[0:partials.shape[0] - partials.shape[0] % 2]
-        combined = even[0::2] + even[1::2]
-        if partials.shape[0] % 2:
-            combined = np.concatenate([combined, partials[-1:]])
-        partials = combined
+        partials.append(np.add.reduce(values[..., n_full:], axis=-1))
+    step = 1
+    while step < len(partials):  # each pass adds neighbours `step` apart: one tree level
+        for i in range(0, len(partials) - step, 2 * step):
+            partials[i] += partials[i + step]
+        step *= 2
     return partials[0]
 
 
@@ -86,50 +102,58 @@ class SphereGrid:
     def n_nodes(self) -> int:
         return self.n_theta * self.n_phi
 
-    @property
-    def nodes(self):
-        """List of (theta_i, phi_j) pairs in storage order."""
-        return list(zip(self.theta.tolist(), self.phi.tolist()))
-
     def with_radius(self, r0: float) -> "SphereGrid":
-        """Same angular nodes and weights on a sphere of a different radius."""
+        """Same angular nodes, weights and basis table on a sphere of a different radius."""
         if r0 <= 0.0:
             raise ValueError(f"radius must be > 0, got {r0}")
         return SphereGrid(r0, self.l_max, self.n_theta, self.n_phi,
                           self.theta_nodes, self.phi_nodes,
-                          self.theta, self.phi, self.weights)
+                          self.theta, self.phi, self.weights, self._basis_cache)
 
     def same_geometry(self, other: "SphereGrid") -> bool:
         return (self.n_theta == other.n_theta and self.n_phi == other.n_phi
                 and self.r0 == other.r0 and self.l_max == other.l_max)
 
+    def basis_table(self, l_max: int):
+        """(Y, X_theta, X_phi, w conj(Y), w conj(X_theta), w conj(X_phi)) at the
+        nodes, each (modes, n_nodes) in mode_slot order for at least every
+        degree up to l_max. Z is (-X_phi, X_theta) and is not stored.
+
+        One table per angular grid, shared by every radius; it grows to the
+        largest degree asked for, which may differ from the grid's l_max.
+        """
+        table = self._basis_cache.get("table")
+        if table is not None and table[0].shape[0] >= mode_count(l_max):
+            return table
+        self._basis_cache.clear()
+        # filled one order at a time, so no temporary is larger than one order's rows
+        table = tuple(np.empty((mode_count(l_max), self.n_nodes), complex) for _ in range(6))
+        for m, n, tau, pi_ in legendre_theta_orders(l_max, self.theta_nodes[:, None]):
+            ls = np.arange(max(abs(m), 1), l_max + 1)
+            slots = mode_slot(ls, m)
+            phase = np.exp(1j * m * self.phi_nodes)
+            blocks = (n * phase, *_transverse(ls[:, None, None], tau, pi_, phase))
+            for rows, weighted, block in zip(table[:3], table[3:], blocks):
+                block = block.reshape(len(ls), self.n_nodes)
+                rows[slots] = block
+                weighted[slots] = self.weights * np.conj(block)
+        for rows in table:  # every grid at every radius shares these rows
+            rows.flags.writeable = False
+        self._basis_cache["table"] = table
+        return table
+
     def mode_basis(self, mode: ModeIndex):
-        """Cached per-node arrays (Y, X_theta, X_phi, Z_theta, Z_phi) for one mode."""
-        key = (mode.l, mode.m)
-        hit = self._basis_cache.get(key)
-        if hit is None:
-            n, tau, pi_ = legendre_theta_kernel(mode.l, mode.m, self.theta)
-            phase = np.exp(1j * mode.m * self.phi)
-            root = np.sqrt(mode.l * (mode.l + 1.0))
-            y = n * phase
-            x_theta = pi_ / root * phase
-            x_phi = 1j * tau / root * phase
-            hit = (y, x_theta, x_phi, -x_phi, x_theta)
-            self._basis_cache[key] = hit
-        return hit
+        """Per-node arrays (Y, X_theta, X_phi, Z_theta, Z_phi) for one mode."""
+        y, x_theta, x_phi = self.basis_table(mode.l)[:3]
+        slot = mode_slot(mode.l, mode.m)
+        return y[slot], x_theta[slot], x_phi[slot], -x_phi[slot], x_theta[slot]
 
     def projection_kernel(self, mode: ModeIndex):
-        """Cached weighted conjugate basis (w conj(Y), w conj(X_t), w conj(X_p),
-        w conj(Z_t), w conj(Z_p)) so a projection is two multiplies and a
-        reduction."""
-        key = (mode.l, mode.m, "proj")
-        hit = self._basis_cache.get(key)
-        if hit is None:
-            y, x_theta, x_phi, z_theta, z_phi = self.mode_basis(mode)
-            w = self.weights
-            hit = tuple(w * np.conj(v) for v in (y, x_theta, x_phi, z_theta, z_phi))
-            self._basis_cache[key] = hit
-        return hit
+        """Weighted conjugate basis (w conj(Y), w conj(X_theta), w conj(X_phi))
+        of one mode, so a projection is two multiplies and a reduction."""
+        slot = mode_slot(mode.l, mode.m)
+        _, _, _, wy, wx_theta, wx_phi = self.basis_table(mode.l)
+        return wy[slot], wx_theta[slot], wx_phi[slot]
 
 
 def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
@@ -214,18 +238,47 @@ class FieldSamples:
         return self.values[:, 2]
 
 
+def _transverse(l, tau, pi_, phase):
+    """(X_theta, X_phi) of degree l from the kernel's (tau, pi) and e^{i m phi};
+    Z_lm = r^ x X_lm is (-X_phi, X_theta)."""
+    root = np.sqrt(l * (l + 1.0))
+    return pi_ / root * phase, 1j * tau / root * phase
+
+
 def vec_X(mode: ModeIndex, theta, phi) -> TangentialVector:
     """Transverse vector harmonic X_lm at (theta, phi); rejects l = 0 via ModeIndex."""
-    n, tau, pi_ = legendre_theta_kernel(mode.l, mode.m, theta)
-    root = np.sqrt(mode.l * (mode.l + 1.0))
+    _, tau, pi_ = legendre_theta_kernel(mode.l, mode.m, theta)
     phase = np.exp(1j * np.asarray(mode.m * np.asarray(phi, dtype=float)))
-    return TangentialVector(pi_ / root * phase, 1j * tau / root * phase)
+    return TangentialVector(*_transverse(mode.l, tau, pi_, phase))
 
 
 def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:
     """Z_lm = r^ x X_lm, i.e. (Z_theta, Z_phi) = (-X_phi, X_theta)."""
     x = vec_X(mode, theta, phi)
     return TangentialVector(-x.v_phi, x.v_theta)
+
+
+def _project(samples: FieldSamples, kind: str, l: int, kernel):
+    """Quadrature sum of w conj(V) . F for the kernel rows: one mode, or a
+    stack of modes up to degree l. project and project_all both reduce here."""
+    if kind not in PROJECTION_KINDS:
+        raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
+    if l > samples.grid.l_max:
+        warnings.warn(
+            f"projection of degree l={l} on a grid declared exact only to "
+            f"l_max={samples.grid.l_max}; the quadrature may alias",
+            GridResolutionWarning, stacklevel=3)
+    wy, wx_theta, wx_phi = kernel
+    values = samples.values
+    if kind == "Yr":
+        return fixed_order_sum(wy * values[:, 0])
+    if kind == "X":
+        integrand = wx_theta * values[:, 1]
+        integrand += wx_phi * values[:, 2]
+    else:  # Z = (-X_phi, X_theta)
+        integrand = wx_theta * values[:, 2]
+        integrand -= wx_phi * values[:, 1]
+    return fixed_order_sum(integrand)
 
 
 def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
@@ -236,19 +289,12 @@ def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
     and 'Z' the tangential columns alone. Warns (GridResolutionWarning) when
     the mode degree exceeds the grid's declared exactness.
     """
-    if kind not in PROJECTION_KINDS:
-        raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
-    grid = samples.grid
-    if mode.l > grid.l_max:
-        warnings.warn(
-            f"projection of degree l={mode.l} on a grid declared exact only to "
-            f"l_max={grid.l_max}; the quadrature may alias",
-            GridResolutionWarning, stacklevel=2)
-    wy, wxt, wxp, wzt, wzp = grid.projection_kernel(mode)
-    if kind == "Yr":
-        integrand = wy * samples.values[:, 0]
-    elif kind == "X":
-        integrand = wxt * samples.values[:, 1] + wxp * samples.values[:, 2]
-    else:
-        integrand = wzt * samples.values[:, 1] + wzp * samples.values[:, 2]
-    return complex(fixed_order_sum(integrand))
+    return complex(_project(samples, kind, mode.l, samples.grid.projection_kernel(mode)))
+
+
+def project_all(samples: FieldSamples, kind: str, l_max: int) -> np.ndarray:
+    """project() for every mode with l <= l_max at once, in mode_slot order;
+    each entry equals the single-mode result bit for bit."""
+    n = mode_count(l_max)
+    kernel = tuple(rows[:n] for rows in samples.grid.basis_table(l_max)[3:])
+    return _project(samples, kind, l_max, kernel)

@@ -19,26 +19,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
-from .harmonics import FieldSamples, GridResolutionWarning, SphereGrid, fixed_order_sum
-from .specfun import ModeIndex, _hankel1_upto, legendre_theta_kernel
+from .harmonics import (FieldSamples, GridResolutionWarning, SphereGrid, _transverse,
+                        fixed_order_sum, mode_count, mode_degrees, mode_slot)
+from .specfun import ModeIndex, legendre_theta_orders, radial_factors
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 VACUUM_IMPEDANCE = 376.730313668  # ohm
 VACUUM_PERMEABILITY = 1.25663706212e-6  # H/m
-
-
-def mode_count(l_max: int) -> int:
-    """Number of radiating modes with 1 <= l <= l_max: l_max (l_max + 2)."""
-    return l_max * (l_max + 2)
-
-
-def mode_slot(l: int, m: int) -> int:
-    """Dense storage index of mode (l, m): l ascending, m ascending within l."""
-    return l * l + l + m - 1
 
 
 def modes_upto(l_max: int) -> list[ModeIndex]:
@@ -121,9 +112,6 @@ class CoefficientSet:
     def magnetic(self, l: int, m: int) -> complex:
         return complex(self.a_m[mode_slot(l, m)])
 
-    def modes(self) -> Iterable[ModeIndex]:
-        return modes_upto(self.l_max)
-
     def __add__(self, other: "CoefficientSet") -> "CoefficientSet":
         if other.l_max != self.l_max or other.medium != self.medium:
             raise ValueError("coefficient sets must share l_max and medium")
@@ -164,14 +152,6 @@ class FarFieldPattern:
         return self.e_theta / self.z0
 
 
-def _radial_factors(l_max: int, x: float):
-    """(h_l, D_l = d/dx[x h_l]) at x = kr for l = 1..l_max, indexed by l - 1."""
-    h = _hankel1_upto(l_max, np.asarray(x, float))
-    ls = np.arange(1, l_max + 1)
-    d = x * h[ls - 1] - ls * h[ls]
-    return h[1:], d
-
-
 def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     """Evaluate (E, H) of a coefficient set on a sphere grid at radius r.
 
@@ -189,25 +169,21 @@ def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     grid_at = grid if r == grid.r0 else grid.with_radius(r)
     med = coeffs.medium
     x = med.k * r
-    h, d = _radial_factors(coeffs.l_max, x)
-    e = np.zeros((grid.n_nodes, 3), complex)
-    hfield = np.zeros((grid.n_nodes, 3), complex)
-    for mode in coeffs.modes():
-        l = mode.l
-        a_e = coeffs.a_e[mode_slot(l, mode.m)]
-        a_m = coeffs.a_m[mode_slot(l, mode.m)]
-        if a_e == 0 and a_m == 0:
-            continue
-        y, x_theta, x_phi, z_theta, z_phi = grid_at.mode_basis(mode)
-        f_rad = np.sqrt(l * (l + 1.0)) * h[l - 1] / x
-        f_z = 1j * d[l - 1] / x
-        f_x = h[l - 1]
-        e[:, 0] += med.z0 * a_e * f_rad * y
-        e[:, 1] += med.z0 * (a_e * f_z * z_theta + a_m * f_x * x_theta)
-        e[:, 2] += med.z0 * (a_e * f_z * z_phi + a_m * f_x * x_phi)
-        hfield[:, 0] += -a_m * f_rad * y
-        hfield[:, 1] += a_e * f_x * x_theta - a_m * f_z * z_theta
-        hfield[:, 2] += a_e * f_x * x_phi - a_m * f_z * z_phi
+    n = mode_count(coeffs.l_max)
+    y, x_theta, x_phi = (rows[:n] for rows in grid_at.basis_table(coeffs.l_max)[:3])
+    h, d = radial_factors(coeffs.l_max, x)
+    l = mode_degrees(coeffs.l_max)
+    f_x = h[l - 1]
+    f_rad = np.sqrt(l * (l + 1.0)) * f_x / x
+    f_z = 1j * d[l - 1] / x
+    a_e, a_m = coeffs.a_e, coeffs.a_m
+    radial = np.stack([a_e * f_rad, -a_m * f_rad]) @ y
+    # per-mode weights of X and Z in E / Z0 and in H; Z = (-X_phi, X_theta)
+    weights = np.stack([a_m * f_x, a_e * f_z, a_e * f_x, -a_m * f_z])
+    on_theta = weights @ x_theta
+    on_phi = weights @ x_phi
+    e = med.z0 * np.column_stack([radial[0], on_theta[0] - on_phi[1], on_phi[0] + on_theta[1]])
+    hfield = np.column_stack([radial[1], on_theta[2] - on_phi[3], on_phi[2] + on_theta[3]])
     return (FieldSamples(grid_at, "E", e, med), FieldSamples(grid_at, "H", hfield, med))
 
 
@@ -220,7 +196,8 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
 
     with the e^{ikr}/(kr) factor stripped; the radial component vanishes
     identically. The asymptotic constant is pinned by the large-radius
-    synthesis test rather than taken on faith.
+    synthesis test rather than taken on faith. Harmonics are evaluated one
+    order at a time, so memory stays at one order's degrees x directions.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape[-1] != 2:
@@ -230,21 +207,15 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
     med = coeffs.medium
     e_theta = np.zeros(directions.shape[0], complex)
     e_phi = np.zeros(directions.shape[0], complex)
-    for mode in coeffs.modes():
-        l = mode.l
-        a_e = coeffs.a_e[mode_slot(l, mode.m)]
-        a_m = coeffs.a_m[mode_slot(l, mode.m)]
-        if a_e == 0 and a_m == 0:
-            continue
-        n, tau, pi_ = legendre_theta_kernel(l, mode.m, theta)
-        root = np.sqrt(l * (l + 1.0))
-        phase = np.exp(1j * mode.m * phi)
-        x_theta = pi_ / root * phase
-        x_phi = 1j * tau / root * phase
-        z_theta, z_phi = -x_phi, x_theta
-        c = med.z0 * (-1j) ** (l + 1)
-        e_theta += c * (a_m * x_theta - a_e * z_theta)
-        e_phi += c * (a_m * x_phi - a_e * z_phi)
+    for m, _, tau, pi_ in legendre_theta_orders(coeffs.l_max, theta):
+        ls = np.arange(max(abs(m), 1), coeffs.l_max + 1)
+        x_theta, x_phi = _transverse(ls[:, None], tau, pi_, np.exp(1j * m * phi))
+        c = med.z0 * np.array([1, -1j, -1, 1j])[(ls + 1) % 4]  # Z0 (-i)^{l+1}
+        a_e = c * coeffs.a_e[mode_slot(ls, m)]
+        a_m = c * coeffs.a_m[mode_slot(ls, m)]
+        # a_M X - a_E Z with Z = (-X_phi, X_theta)
+        e_theta += a_m @ x_theta + a_e @ x_phi
+        e_phi += a_m @ x_phi - a_e @ x_theta
     return FarFieldPattern(directions, e_theta, e_phi, med.z0)
 
 
@@ -269,25 +240,28 @@ def radiated_power(coeffs: CoefficientSet, r: float, grid: SphereGrid) -> float:
     return float(fixed_order_sum(grid.weights * flux)) * r * r
 
 
-def coefficient_deviation(c1: CoefficientSet, c2: CoefficientSet,
-                          zero_floor: float = 1e-12) -> float:
-    """Max over modes of |a1 - a2| / max(|a1|, |a2|), over both families.
+def mode_deviations(c1: CoefficientSet, c2: CoefficientSet,
+                    zero_floor: float = 1e-12) -> np.ndarray:
+    """Per-mode |a1 - a2| / max(|a1|, |a2|) as (n_modes, 2) for the
+    (electric, magnetic) families.
 
     Mode pairs where both magnitudes sit below zero_floor times the joint
-    scale count as agreeing zeros: roundoff residue on a mode absent from
-    both sets is not a deviation. A mode present in one set and absent from
-    the other still registers in full.
+    scale count as agreeing zeros (deviation 0): roundoff residue on a mode
+    absent from both sets is not a deviation. A mode present in one set and
+    absent from the other still registers in full.
     """
     if c1.l_max != c2.l_max:
         raise ValueError("coefficient sets must share l_max")
     scale = max(c1.max_abs(), c2.max_abs())
-    if scale == 0.0:
-        return 0.0
-    worst = 0.0
-    for x1, x2 in ((c1.a_e, c2.a_e), (c1.a_m, c2.a_m)):
-        diff = np.abs(x1 - x2)
+    out = np.zeros((mode_count(c1.l_max), 2))
+    for col, (x1, x2) in enumerate(((c1.a_e, c2.a_e), (c1.a_m, c2.a_m))):
         denom = np.maximum(np.abs(x1), np.abs(x2))
         live = denom > zero_floor * scale
-        if live.any():
-            worst = max(worst, float((diff[live] / denom[live]).max()))
-    return worst
+        out[live, col] = np.abs(x1 - x2)[live] / denom[live]
+    return out
+
+
+def coefficient_deviation(c1: CoefficientSet, c2: CoefficientSet,
+                          zero_floor: float = 1e-12) -> float:
+    """Max over modes and both families of mode_deviations."""
+    return float(mode_deviations(c1, c2, zero_floor).max(initial=0.0))

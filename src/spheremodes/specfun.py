@@ -12,6 +12,7 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,28 +39,77 @@ class ModeIndex:
             raise ValueError(f"mode order must satisfy |m| <= l, got (l={self.l}, m={self.m})")
 
 
-def _scaled_legendre(l: int, m: int, x):
-    """q_lm(x) = (normalized P_l^m(x)) / (1-x^2)^{m/2}, finite at the poles.
+def _legendre_columns(l_max: int, x):
+    """For m = 0, 1, 2, ...: q_lm(x) for l = m..l_max stacked along a new
+    leading axis (no rows once m > l_max).
 
-    Runs the fully normalized three-term recurrence upward in degree at fixed
-    order; the sin^m(theta) factor is divided out symbolically so callers can
+    q_lm(x) = (normalized P_l^m(x)) / (1-x^2)^{m/2} is finite at the poles:
+    the sin^m(theta) factor is divided out symbolically so callers can
     reapply exactly the power they need (this is what keeps 1/sin(theta)
-    terms of the vector harmonics pole-safe).
+    terms of the vector harmonics pole-safe). The fully normalized
+    recurrences run upward in order for the seed q_mm, then upward in degree.
     """
-    x = np.asarray(x, dtype=float)
     q = np.full_like(x, 1.0 / np.sqrt(FOUR_PI))
-    for k in range(1, m + 1):
-        q = q * (-np.sqrt((2.0 * k + 1.0) / (2.0 * k)))
-    if l == m:
-        return q
-    q_prev = q
-    q = np.sqrt(2.0 * m + 3.0) * x * q_prev
-    for ll in range(m + 2, l + 1):
-        a = np.sqrt((2.0 * ll + 1.0) * (2.0 * ll - 1.0) / ((ll - m) * (ll + m)))
-        b = np.sqrt((2.0 * ll + 1.0) * (ll - 1.0 - m) * (ll - 1.0 + m)
-                    / ((2.0 * ll - 3.0) * (ll - m) * (ll + m)))
-        q, q_prev = a * x * q - b * q_prev, q
-    return q
+    for m in itertools.count():
+        if m:
+            q = q * (-np.sqrt((2.0 * m + 1.0) / (2.0 * m)))
+        out = np.empty((max(l_max - m + 1, 0),) + x.shape)
+        out[:1] = q
+        out[1:2] = np.sqrt(2.0 * m + 3.0) * x * q
+        for ll in range(m + 2, l_max + 1):
+            a = np.sqrt((2.0 * ll + 1.0) * (2.0 * ll - 1.0) / ((ll - m) * (ll + m)))
+            b = np.sqrt((2.0 * ll + 1.0) * (ll - 1.0 - m) * (ll - 1.0 + m)
+                        / ((2.0 * ll - 3.0) * (ll - m) * (ll + m)))
+            out[ll - m] = a * x * out[ll - m - 1] - b * out[ll - m - 2]
+        yield out
+
+
+def _scaled_legendre(l: int, m: int, x):
+    """q_lm(x) of one degree and order (see _legendre_columns)."""
+    x = np.asarray(x, dtype=float)
+    return next(itertools.islice(_legendre_columns(l, x), m, None))[-1]
+
+
+def legendre_theta_orders(l_max: int, theta):
+    """Angular building blocks of the vector harmonics, one order at a time.
+
+    Yields (m, n, tau, pi) for m = 0, 1, -1, 2, -2, ..., l_max, -l_max. Each
+    array stacks the degrees l = max(|m|, 1)..l_max along a new leading axis;
+    the rest of its shape is theta's. Writing N_lm(theta) for the normalized
+    Legendre function at cos(theta):
+
+        n   = N_lm(theta)
+        tau = d N_lm / d theta
+        pi  = m N_lm / sin(theta)
+
+    tau uses the order-raising/lowering identity and pi the divided-out
+    sin^m factor, so both are exact at theta = 0 and pi (no 1/sin anywhere).
+    Each order's degree recurrence runs once, so all orders cost O(l_max^2)
+    vector steps. Negative orders follow from N_{l,-m} = (-1)^m N_lm.
+    """
+    theta = np.asarray(theta, dtype=float)
+    x = np.cos(theta)
+    s = np.sin(theta)
+    columns = _legendre_columns(l_max, x)
+    prev, cur = None, next(columns)
+    for m, nxt in zip(range(l_max + 1), columns):
+        lo = max(m, 1)
+        ls = np.arange(lo, l_max + 1).reshape((-1,) + (1,) * x.ndim)
+        q_m = cur[lo - m:]
+        n = s**m * q_m
+        pi_ = m * s ** (m - 1) * q_m if m >= 1 else np.zeros_like(n)
+        # d/dtheta via neighbors in order: 2 tau = A n_{l,m+1} - B n_{l,m-1}
+        n_up = np.zeros_like(n)
+        n_up[m + 1 - lo:] = s ** (m + 1) * nxt
+        n_dn = -s * nxt if m == 0 else s ** (m - 1) * prev[1:]
+        a = np.sqrt((ls - m) * (ls + m + 1.0))
+        b = np.sqrt((ls + m) * (ls - m + 1.0))
+        tau = 0.5 * (a * n_up - b * n_dn)
+        yield m, n, tau, pi_
+        if m:
+            sign = (-1) ** m
+            yield -m, sign * n, sign * tau, -sign * pi_
+        prev, cur = cur, nxt
 
 
 def assoc_legendre_norm(l: int, m: int, x):
@@ -99,40 +149,13 @@ def sph_harmonic(l: int, m: int, theta, phi):
 
 
 def legendre_theta_kernel(l: int, m: int, theta):
-    """Angular building blocks of the vector harmonics for one (l, m), m of any sign.
-
-    Returns (n, tau, pi) where, writing N_lm(theta) for the normalized
-    Legendre function at cos(theta):
-
-        n   = N_lm(theta)
-        tau = d N_lm / d theta
-        pi  = m N_lm / sin(theta)
-
-    tau uses the order-raising/lowering identity and pi the divided-out
-    sin^m factor, so both are exact at theta = 0 and pi (no 1/sin anywhere).
-    """
+    """(n, tau, pi) of one mode (l, m), m of any sign: the degree-l row of
+    order m from legendre_theta_orders."""
     if l < 1 or abs(m) > l:
         raise ValueError(f"invalid mode (l={l}, m={m})")
-    if m < 0:
-        n, tau, pi_ = legendre_theta_kernel(l, -m, theta)
-        sign = (-1) ** (-m)
-        return sign * n, sign * tau, -sign * pi_
-    theta = np.asarray(theta, dtype=float)
-    x = np.cos(theta)
-    s = np.sin(theta)
-    q_m = _scaled_legendre(l, m, x)
-    n = s**m * q_m
-    pi_ = m * s ** (m - 1) * q_m if m >= 1 else np.zeros_like(x)
-    # d/dtheta via neighbors in order: 2 tau = A n_{l,m+1} - B n_{l,m-1}
-    a = np.sqrt((l - m) * (l + m + 1.0))
-    b = np.sqrt((l + m) * (l - m + 1.0))
-    n_up = s ** (m + 1) * _scaled_legendre(l, m + 1, x) if m + 1 <= l else 0.0
-    if m == 0:
-        n_dn = -s * _scaled_legendre(l, 1, x)
-    else:
-        n_dn = s ** (m - 1) * _scaled_legendre(l, m - 1, x)
-    tau = 0.5 * (a * n_up - b * n_dn)
-    return n, tau, pi_
+    for order, n, tau, pi_ in legendre_theta_orders(l, theta):
+        if order == m:
+            return n[-1], tau[-1], pi_[-1]
 
 
 def sph_hankel1(l: int, x):
@@ -163,8 +186,17 @@ def _hankel1_upto(l_max: int, x):
     return h
 
 
+def radial_factors(l_max: int, x):
+    """(h_l(x), D_l(x) = d/dx [x h_l(x)]) for l = 1..l_max, each stacked along
+    a new leading axis indexed by l - 1; D_l = x h_{l-1}(x) - l h_l(x)."""
+    x = np.asarray(x, dtype=float)
+    h = _hankel1_upto(l_max, x)
+    ls = np.arange(1, l_max + 1).reshape((-1,) + (1,) * x.ndim)
+    return h[1:], x * h[:-1] - ls * h[1:]
+
+
 def riccati_h1_deriv(l: int, x):
-    """d/dx [x h_l^(1)(x)] = x h_{l-1}^(1)(x) - l h_l^(1)(x), for l >= 1.
+    """D_l(x) = d/dx [x h_l^(1)(x)] for l >= 1.
 
     This is the dimensionless radial derivative; a caller differentiating in
     r multiplies by the wavenumber k.
@@ -174,6 +206,5 @@ def riccati_h1_deriv(l: int, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("argument must be > 0")
-    h = _hankel1_upto(l, x)
-    out = x * h[l - 1] - l * h[l]
+    out = radial_factors(l, x)[1][l - 1]
     return out if out.ndim else complex(out)

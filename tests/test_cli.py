@@ -125,6 +125,24 @@ class TestExtractPipeline:
                      "--out", str(tmp_path / "o.json")]) == EXIT_OK
 
 
+    @pytest.mark.parametrize("column", ["phi_rad", "weight_sr"])
+    def test_rejects_field_file_off_its_grid(self, coeff_file, tmp_path, capsys, column):
+        path, _ = coeff_file
+        field = tmp_path / "field.csv"
+        assert main(["synth", str(path), "--radius", "1.0", "--out", str(field)]) == EXIT_OK
+        lines = field.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        idx = lines[header].split(",").index(column)
+        for i in range(header + 1, len(lines)):
+            row = lines[i].split(",")
+            row[idx] = "123.0"
+            lines[i] = ",".join(row)
+        field.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rec.json"
+        assert main(["extract", str(field), "--route", "radial", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert column in capsys.readouterr().err
+
+
 class TestEquiv:
     def test_synthesized_input_passes(self, coeff_file, tmp_path, capsys):
         path, _ = coeff_file

@@ -224,6 +224,23 @@ class TestEquivalenceReport:
         flagged = set().union(*(r.flagged_degrees for r in result.reports()))
         assert 5 in flagged
 
+    def test_route_condition_once_per_route(self, medium, rng, monkeypatch):
+        from spheremodes import extraction
+        calls = []
+        original = extraction.route_condition
+
+        def counted(route, *args):
+            calls.append(route)
+            return original(route, *args)
+
+        monkeypatch.setattr(extraction, "route_condition", counted)
+        c = random_coefficients(4, medium, rng)
+        e, h = synthesized(c)
+        result = equivalence_report(e, h, 4)
+        assert sorted(calls) == sorted(["radial", "tangential-E", "tangential-H"])
+        for report in result.reports():
+            assert report.condition_indicators == original(report.route, medium, 1.0, 4)
+
     def test_warnings_propagate(self, rng):
         medium = Medium(k=0.5)
         c = random_coefficients(10, medium, rng, balance_radius=1.0)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremodes.harmonics import (FieldSamples, GridResolutionWarning, fixed_order_sum,
-                                   make_grid, project, vec_X, vec_Z)
+from spheremodes import CoefficientSet, Medium, radiated_power, synthesize
+from spheremodes.harmonics import (PROJECTION_KINDS, FieldSamples, GridResolutionWarning,
+                                   fixed_order_sum, make_grid, mode_count, project,
+                                   project_all, vec_X, vec_Z)
 from spheremodes.specfun import ModeIndex
 
 FOUR_PI = 4.0 * np.pi
@@ -224,3 +226,69 @@ class TestFieldSamples:
         assert np.array_equal(samples.radial, values[:, 0])
         assert np.array_equal(samples.theta, values[:, 1])
         assert np.array_equal(samples.phi, values[:, 2])
+
+
+class TestBasisTable:
+    """One (modes x nodes) basis table per angular grid, shared by project and
+    project_all."""
+
+    @staticmethod
+    def _random_samples(grid, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(grid.n_nodes, 3)) + 1j * rng.normal(size=(grid.n_nodes, 3))
+        return FieldSamples(grid, "E", values)
+
+    @pytest.mark.parametrize("l_max,n_theta,n_phi", [(7, None, None), (5, 11, 17)])
+    def test_project_all_matches_project_bit_for_bit(self, l_max, n_theta, n_phi):
+        grid = make_grid(l_max, 1.0, n_theta=n_theta, n_phi=n_phi)
+        samples = self._random_samples(grid, l_max)
+        for kind in PROJECTION_KINDS:
+            batched = project_all(samples, kind, l_max)
+            single = [project(samples, kind, ModeIndex(l, m))
+                      for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+            assert np.array_equal(batched, np.array(single))
+
+    def test_project_all_matches_project_after_table_growth(self):
+        grid = make_grid(6, 1.0)
+        samples = self._random_samples(grid, 1)
+        small = project_all(samples, "X", 2)
+        assert grid.basis_table(1)[0].shape[0] == mode_count(2)
+        for kind in PROJECTION_KINDS:
+            batched = project_all(samples, kind, 6)
+            single = [project(samples, kind, ModeIndex(l, m))
+                      for l in range(1, 7) for m in range(-l, l + 1)]
+            assert np.array_equal(batched, np.array(single))
+        assert np.array_equal(project_all(samples, "X", 6)[:mode_count(2)], small)
+
+    def test_table_rows_and_memory_bound(self):
+        grid = make_grid(24, 0.7)
+        synthesize(CoefficientSet.zeros(4, Medium(k=2.0)), 0.7, grid)
+        table = grid.basis_table(1)
+        n_modes = mode_count(4)
+        assert n_modes == 24
+        assert len(table) == 6
+        assert all(rows.shape == (n_modes, grid.n_nodes) for rows in table)
+        held = sum(rows.nbytes for entry in grid._basis_cache.values() for rows in entry)
+        assert held <= 6 * n_modes * grid.n_nodes * 16
+
+    def test_other_radius_builds_nothing_new(self):
+        grid = make_grid(5, 1.0)
+        c = CoefficientSet.zeros(5, Medium(k=1.5))
+        synthesize(c, 1.0, grid)
+        built = [id(rows) for entry in grid._basis_cache.values() for rows in entry]
+        e, _ = synthesize(c, 1.7, grid)
+        radiated_power(c, 2.3, grid)
+        for cache in (grid._basis_cache, e.grid._basis_cache):
+            assert [id(rows) for entry in cache.values() for rows in entry] == built
+
+    def test_mode_basis_rows_are_table_rows(self):
+        grid = make_grid(4, 1.0)
+        mode = ModeIndex(3, -2)
+        y, xt, xp, zt, zp = grid.mode_basis(mode)
+        table = grid.basis_table(4)
+        slot = mode_count(2) + 1
+        assert np.array_equal(y, table[0][slot]) and np.array_equal(xt, table[1][slot])
+        assert np.array_equal(zt, -xp) and np.array_equal(zp, xt)
+        got = vec_X(mode, grid.theta, grid.phi)
+        assert np.allclose(got.v_theta, xt, rtol=0.0, atol=1e-15)
+        assert np.allclose(got.v_phi, xp, rtol=0.0, atol=1e-15)

@@ -141,6 +141,24 @@ class TestFieldFile:
         with pytest.raises(FormatError):
             read_field_file(path)
 
+    @pytest.mark.parametrize("column,value", [("phi_rad", "123.0"), ("weight_sr", "-5.0"),
+                                              ("theta_rad", "0.5")])
+    def test_rejects_grid_columns_off_the_declared_grid(self, tmp_path, medium, rng, column,
+                                                         value):
+        c = random_coefficients(2, medium, rng)
+        e, h = synthesize(c, 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        lines = path.read_text().splitlines()
+        idx = lines[7].split(",").index(column)
+        for i in range(8, len(lines)):
+            row = lines[i].split(",")
+            row[idx] = value
+            lines[i] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=column):
+            read_field_file(path)
+
     def test_node_order_theta_major(self, tmp_path, medium, rng):
         c = random_coefficients(2, medium, rng)
         grid = make_grid(2, 1.0)

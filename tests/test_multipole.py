@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from helpers import random_coefficients
 from spheremodes import (CoefficientSet, Medium, coefficient_deviation, duality,
                          far_field, make_grid, radiated_power, sph_harmonic, synthesize)
+from spheremodes import modes_upto, vec_X, vec_Z
 from spheremodes.harmonics import GridResolutionWarning
+from spheremodes.specfun import riccati_h1_deriv, sph_hankel1
 
 
 @pytest.fixture
@@ -19,6 +21,61 @@ def medium():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def reference_fields(coeffs, r, theta, phi):
+    """(E, H) summed one mode at a time from the scalar special functions."""
+    med = coeffs.medium
+    x = med.k * r
+    e = np.zeros((theta.size, 3), complex)
+    h = np.zeros((theta.size, 3), complex)
+    for mode in modes_upto(coeffs.l_max):
+        a_e, a_m = coeffs.electric(mode.l, mode.m), coeffs.magnetic(mode.l, mode.m)
+        h_l = sph_hankel1(mode.l, x)
+        f_rad = np.sqrt(mode.l * (mode.l + 1.0)) * h_l / x
+        f_z = 1j * riccati_h1_deriv(mode.l, x) / x
+        y = sph_harmonic(mode.l, mode.m, theta, phi)
+        xv, zv = vec_X(mode, theta, phi), vec_Z(mode, theta, phi)
+        xs = np.column_stack([xv.v_theta, xv.v_phi])
+        zs = np.column_stack([zv.v_theta, zv.v_phi])
+        e[:, 0] += med.z0 * a_e * f_rad * y
+        e[:, 1:] += med.z0 * (a_e * f_z * zs + a_m * h_l * xs)
+        h[:, 0] += -a_m * f_rad * y
+        h[:, 1:] += a_e * h_l * xs - a_m * f_z * zs
+    return e, h
+
+
+def reference_pattern(coeffs, theta, phi):
+    """Far-field (E_theta, E_phi) summed one mode at a time."""
+    out = np.zeros((theta.size, 2), complex)
+    for mode in modes_upto(coeffs.l_max):
+        a_e, a_m = coeffs.electric(mode.l, mode.m), coeffs.magnetic(mode.l, mode.m)
+        xv, zv = vec_X(mode, theta, phi), vec_Z(mode, theta, phi)
+        c = coeffs.medium.z0 * (-1j) ** (mode.l + 1)
+        out[:, 0] += c * (a_m * xv.v_theta - a_e * zv.v_theta)
+        out[:, 1] += c * (a_m * xv.v_phi - a_e * zv.v_phi)
+    return out
+
+
+class TestAgainstPerModeSums:
+    @pytest.mark.parametrize("l_max,grid_l_max,r", [(5, 5, 1.0), (4, 9, 1.6), (7, 7, 0.8)])
+    def test_synthesize(self, medium, rng, l_max, grid_l_max, r):
+        c = random_coefficients(l_max, medium, rng)
+        grid = make_grid(grid_l_max, 1.0)
+        e, h = synthesize(c, r, grid)
+        ref_e, ref_h = reference_fields(c, r, grid.theta, grid.phi)
+        assert np.abs(e.values - ref_e).max() <= 1e-13 * np.abs(ref_e).max()
+        assert np.abs(h.values - ref_h).max() <= 1e-13 * np.abs(ref_h).max()
+
+    @pytest.mark.parametrize("l_max", [1, 3, 8])
+    def test_far_field(self, medium, rng, l_max):
+        c = random_coefficients(l_max, medium, rng)
+        theta = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 40)])
+        phi = rng.uniform(0.0, 2.0 * np.pi, theta.size)
+        pattern = far_field(c, np.column_stack([theta, phi]))
+        got = np.column_stack([pattern.e_theta, pattern.e_phi])
+        ref = reference_pattern(c, theta, phi)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestMedium:

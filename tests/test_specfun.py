@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from spheremodes.specfun import (ModeIndex, assoc_legendre_norm, legendre_theta_kernel,
-                                 riccati_h1_deriv, sph_hankel1, sph_harmonic)
+                                 legendre_theta_orders, radial_factors, riccati_h1_deriv,
+                                 sph_hankel1, sph_harmonic)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -134,6 +135,38 @@ class TestThetaKernel:
         # |m| >= 2: everything vanishes at the pole
         _, tau, pi_ = legendre_theta_kernel(5, 3, 0.0)
         assert tau == 0.0 and pi_ == 0.0
+
+
+class TestThetaOrders:
+    """The order-at-a-time generator is the only Legendre recurrence."""
+
+    @pytest.mark.parametrize("l_max", range(1, 13))
+    def test_rows_match_kernel_bit_for_bit(self, l_max):
+        theta = np.concatenate([[0.0, np.pi], np.linspace(0.05, 3.1, 9)])
+        orders = []
+        for m, n, tau, pi_ in legendre_theta_orders(l_max, theta):
+            orders.append(m)
+            assert n.shape == tau.shape == pi_.shape == (l_max - max(abs(m), 1) + 1, theta.size)
+            for row, l in enumerate(range(max(abs(m), 1), l_max + 1)):
+                want = legendre_theta_kernel(l, m, theta)
+                for got, ref in zip((n[row], tau[row], pi_[row]), want):
+                    assert np.array_equal(got, ref)
+        assert sorted(orders) == list(range(-l_max, l_max + 1))
+
+    def test_keeps_trailing_theta_shape(self):
+        theta = np.linspace(0.2, 2.9, 6).reshape(2, 3, 1)
+        for m, n, tau, pi_ in legendre_theta_orders(4, theta):
+            assert n.shape[1:] == tau.shape[1:] == pi_.shape[1:] == theta.shape
+
+
+class TestRadialFactors:
+    def test_matches_riccati_and_hankel(self):
+        x = np.array([0.3, 2.0, 11.5])
+        h, d = radial_factors(6, x)
+        assert h.shape == d.shape == (6, 3)
+        for l in range(1, 7):
+            assert np.array_equal(h[l - 1], sph_hankel1(l, x))
+            assert np.array_equal(d[l - 1], riccati_h1_deriv(l, x))
 
 
 class TestSphHankel1:
