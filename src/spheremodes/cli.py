@@ -17,9 +17,8 @@ import numpy as np
 from . import dipole as dipole_mod
 from .extraction import (ROUTE_RADIAL, ROUTE_TAN_E, ROUTE_TAN_H, equivalence_report,
                          extract_radial, extract_tangential_e, extract_tangential_h)
-from .fileio import (ROUTE_REQUIRED_COLUMNS, FormatError, read_coefficients,
-                     read_field_file, write_coefficients, write_field_file,
-                     write_pattern_csv)
+from .fileio import (FIELD_COLUMNS, FormatError, read_coefficients, read_field_file,
+                     write_coefficients, write_field_file, write_pattern_csv)
 from .harmonics import make_grid
 from .multipole import SPEED_OF_LIGHT, duality, far_field, mode_slot, modes_upto, synthesize
 
@@ -58,10 +57,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_ROUTE_FUNCS = {
-    "radial": lambda data, l_max: extract_radial(data.samples("E"), data.samples("H"), l_max),
-    "tan-e": lambda data, l_max: extract_tangential_e(data.samples("E"), l_max),
-    "tan-h": lambda data, l_max: extract_tangential_h(data.samples("H"), l_max),
+# --route name -> (extraction from parsed field data, field columns the route reads)
+_ROUTES = {
+    "radial": (lambda data, l_max: extract_radial(data.samples("E"), data.samples("H"), l_max),
+               ("E_r", "H_r")),
+    "tan-e": (lambda data, l_max: extract_tangential_e(data.samples("E"), l_max),
+              ("E_theta", "E_phi")),
+    "tan-h": (lambda data, l_max: extract_tangential_h(data.samples("H"), l_max),
+              ("H_theta", "H_phi")),
 }
 
 
@@ -76,18 +79,16 @@ def _checked_field_data(path, required):
 
 
 def cmd_extract(args) -> int:
-    required = ROUTE_REQUIRED_COLUMNS[args.route]
+    extract, required = _ROUTES[args.route]
     data = _checked_field_data(args.field_file, required)
     l_max = args.lmax if args.lmax is not None else data.grid.l_max
-    coeffs = _ROUTE_FUNCS[args.route](data, l_max)
+    coeffs = extract(data, l_max)
     write_coefficients(args.out, coeffs, data.frequency_hz)
     return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
-    data = _checked_field_data(args.field_file, list(ROUTE_REQUIRED_COLUMNS["radial"])
-                               + list(ROUTE_REQUIRED_COLUMNS["tan-e"])
-                               + list(ROUTE_REQUIRED_COLUMNS["tan-h"]))
+    data = _checked_field_data(args.field_file, FIELD_COLUMNS)
     l_max = args.lmax if args.lmax is not None else data.grid.l_max
     result = equivalence_report(data.samples("E"), data.samples("H"), l_max)
     routes = ((ROUTE_RADIAL, result.radial), (ROUTE_TAN_E, result.tangential_e),
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="recover coefficients from a field file")
     p.add_argument("field_file")
-    p.add_argument("--route", choices=sorted(ROUTE_REQUIRED_COLUMNS), required=True)
+    p.add_argument("--route", choices=sorted(_ROUTES), required=True)
     p.add_argument("--lmax", type=int, default=None,
                    help="truncation degree (default: the file's grid l_max)")
     p.add_argument("--out", required=True, help="output coefficient JSON")

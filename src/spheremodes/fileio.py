@@ -14,19 +14,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .harmonics import FieldSamples, SphereGrid, make_grid
-from .multipole import (SPEED_OF_LIGHT, CoefficientSet, Medium, mode_count, mode_slot,
-                        modes_upto)
+from .harmonics import FieldSamples, SphereGrid, make_grid, mode_degrees
+from .multipole import SPEED_OF_LIGHT, CoefficientSet, Medium, mode_count, mode_slot
 
 COEFF_SCHEMA_VERSION = "1"
 
 FIELD_COLUMNS = ("E_r", "E_theta", "E_phi", "H_r", "H_theta", "H_phi")
 
-ROUTE_REQUIRED_COLUMNS = {
-    "radial": ("E_r", "H_r"),
-    "tan-e": ("E_theta", "E_phi"),
-    "tan-h": ("H_theta", "H_phi"),
-}
+_COEFF_ROW = '    {"l": %d, "m": %d, "aE": [%.17g, %.17g], "aM": [%.17g, %.17g]}'
 
 
 class FormatError(ValueError):
@@ -37,9 +32,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_table(path, head_lines, row_template, table, tail_lines=(), row_sep="\n") -> None:
+    """Write a text file: the head lines, then ``row_template % row`` for each
+    row of the 2-d float array ``table`` joined by ``row_sep``, then the tail
+    lines, each ended by a newline."""
+    rows = row_sep.join([row_template % tuple(row) for row in table.tolist()])
+    lines = [*head_lines, rows, *tail_lines] if rows or tail_lines else list(head_lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_coefficients(path, coeffs: CoefficientSet, frequency_hz: float) -> None:
     """Write a coefficient file in canonical order with 17-digit numbers."""
-    lines = [
+    head = [
         "{",
         f'  "schema_version": "{COEFF_SCHEMA_VERSION}",',
         f'  "l_max": {coeffs.l_max},',
@@ -47,19 +52,11 @@ def write_coefficients(path, coeffs: CoefficientSet, frequency_hz: float) -> Non
         f'  "medium": {{"k": {_fmt(coeffs.medium.k)}, "Z0": {_fmt(coeffs.medium.z0)}}},',
         '  "modes": [',
     ]
-    rows = []
-    for mode in modes_upto(coeffs.l_max):
-        ae = coeffs.a_e[mode_slot(mode.l, mode.m)]
-        am = coeffs.a_m[mode_slot(mode.l, mode.m)]
-        rows.append(
-            f'    {{"l": {mode.l}, "m": {mode.m},'
-            f' "aE": [{_fmt(ae.real)}, {_fmt(ae.imag)}],'
-            f' "aM": [{_fmt(am.real)}, {_fmt(am.imag)}]}}')
-    lines.append(",\n".join(rows))
-    lines.append("  ]")
-    lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    l = mode_degrees(coeffs.l_max)
+    m = np.arange(len(l)) - l * l - l + 1  # inverse of mode_slot
+    table = np.column_stack([l, m, coeffs.a_e.real, coeffs.a_e.imag,
+                             coeffs.a_m.real, coeffs.a_m.imag])
+    _write_table(path, head, _COEFF_ROW, table, tail_lines=("  ]", "}"), row_sep=",\n")
 
 
 def read_coefficients(path):
@@ -134,7 +131,7 @@ def write_field_file(path, e: Optional[FieldSamples], h: Optional[FieldSamples],
     header = ["theta_rad", "phi_rad", "weight_sr"]
     for name in FIELD_COLUMNS:
         header += [f"re_{name}", f"im_{name}"]
-    lines = [
+    head = [
         f"# radius_m={_fmt(grid.r0)}",
         f"# frequency_hz={_fmt(frequency_hz)}",
         f"# grid_l_max={grid.l_max}",
@@ -144,20 +141,28 @@ def write_field_file(path, e: Optional[FieldSamples], h: Optional[FieldSamples],
         f"# Z0_ohm={_fmt(medium.z0)}",
         ",".join(header),
     ]
-    fields = {"E": e, "H": h}
-    for i in range(grid.n_nodes):
-        row = [_fmt(grid.theta[i]), _fmt(grid.phi[i]), _fmt(grid.weights[i])]
-        for name in FIELD_COLUMNS:
-            samples = fields[name[0]]
-            if samples is None:
-                row += ["", ""]
-            else:
-                col = {"r": 0, "theta": 1, "phi": 2}[name.split("_", 1)[1]]
-                v = samples.values[i, col]
-                row += [_fmt(v.real), _fmt(v.imag)]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # The float view of the (n_nodes, 3) complex samples is already in header
+    # order: re_r, im_r, re_theta, im_theta, re_phi, im_phi.
+    cells = ["%.17g"] * 3
+    blocks = [grid.theta, grid.phi, grid.weights]
+    for samples in (e, h):
+        if samples is None:
+            cells += [""] * 6
+        else:
+            cells += ["%.17g"] * 6
+            blocks.append(np.ascontiguousarray(samples.values).view(float))
+    _write_table(path, head, ",".join(cells), np.column_stack(blocks))
+
+
+def _float_column(path, name, cells) -> Optional[np.ndarray]:
+    """Parse one column of cells; None if every cell is empty or blank."""
+    if not "".join(cells).strip():
+        return None
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError as exc:
+        raise FormatError(f"{path}: column {name} is partially empty or not numeric "
+                          f"({exc})") from None
 
 
 def read_field_file(path) -> FieldFileData:
@@ -183,6 +188,9 @@ def read_field_file(path) -> FieldFileData:
             rows.append(line.split(","))
     if header is None:
         raise FormatError(f"{path}: no header row")
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise FormatError(f"{path}: header names column {', '.join(duplicates)} more than once")
     for key in ("radius_m", "frequency_hz", "grid_l_max"):
         if key not in meta:
             raise FormatError(f"{path}: preamble key {key} missing")
@@ -200,18 +208,17 @@ def read_field_file(path) -> FieldFileData:
         raise FormatError(
             f"{path}: {len(rows)} node rows for a declared {grid.n_theta} x {grid.n_phi} grid")
     ncol = len(header)
-    data = {name: [] for name in header}
-    for row in rows:
-        if len(row) != ncol:
-            raise FormatError(f"{path}: row with {len(row)} fields, header names {ncol}")
-        for name, cell in zip(header, row):
-            data[name].append(cell.strip())
+    bad_widths = set(map(len, rows)) - {ncol}
+    if bad_widths:
+        raise FormatError(f"{path}: row with {min(bad_widths)} fields, header names {ncol}")
+    data = dict(zip(header, zip(*rows)))
 
     for name, declared in (("theta_rad", grid.theta), ("phi_rad", grid.phi),
                            ("weight_sr", grid.weights)):
         if name not in data:
             raise FormatError(f"{path}: column {name} missing")
-        if not np.allclose([float(v) for v in data[name]], declared, rtol=0.0, atol=1e-12):
+        values = _float_column(path, name, data[name])
+        if values is None or not np.allclose(values, declared, rtol=0.0, atol=1e-12):
             raise FormatError(f"{path}: column {name} does not match the declared grid")
 
     columns: Dict[str, Optional[np.ndarray]] = {}
@@ -221,14 +228,11 @@ def read_field_file(path) -> FieldFileData:
         if re_cells is None or im_cells is None:
             columns[name] = None
             continue
-        filled = [c != "" for c in re_cells]
-        if not any(filled):
-            columns[name] = None
-            continue
-        if not all(filled) or not all(c != "" for c in im_cells):
+        re = _float_column(path, f"re_{name}", re_cells)
+        im = _float_column(path, f"im_{name}", im_cells)
+        if (re is None) != (im is None):
             raise FormatError(f"{path}: column {name} is partially empty")
-        columns[name] = (np.array([float(v) for v in re_cells])
-                         + 1j * np.array([float(v) for v in im_cells]))
+        columns[name] = None if re is None else re + 1j * im
     return FieldFileData(grid, medium, frequency, columns)
 
 
@@ -244,12 +248,6 @@ def write_pattern_csv(path, theta: np.ndarray, phi: np.ndarray,
         if peak > 0.0:
             mag_t = mag_t / peak
             mag_p = mag_p / peak
-    lines = ["theta_rad,phi_rad,mag_E_theta,phase_E_theta_rad,mag_E_phi,phase_E_phi_rad"]
-    for i in range(len(theta)):
-        lines.append(",".join([
-            _fmt(theta[i]), _fmt(phi[i]),
-            _fmt(mag_t[i]), _fmt(np.angle(e_theta[i])),
-            _fmt(mag_p[i]), _fmt(np.angle(e_phi[i])),
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "theta_rad,phi_rad,mag_E_theta,phase_E_theta_rad,mag_E_phi,phase_E_phi_rad"
+    table = np.column_stack([theta, phi, mag_t, np.angle(e_theta), mag_p, np.angle(e_phi)])
+    _write_table(path, [header], ",".join(["%.17g"] * 6), table)

@@ -142,6 +142,15 @@ class TestExtractPipeline:
         assert main(["extract", str(field), "--route", "radial", "--out", str(out)]) == EXIT_INPUT_ERROR
         assert column in capsys.readouterr().err
 
+    def test_rejects_duplicate_column_names(self, coeff_file, tmp_path, capsys):
+        path, _ = coeff_file
+        field = tmp_path / "field.csv"
+        assert main(["synth", str(path), "--radius", "1.0", "--out", str(field)]) == EXIT_OK
+        field.write_text(field.read_text().replace("re_H_r", "re_E_r"))
+        out = tmp_path / "rec.json"
+        assert main(["extract", str(field), "--route", "radial", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert "re_E_r" in capsys.readouterr().err
+
 
 class TestEquiv:
     def test_synthesized_input_passes(self, coeff_file, tmp_path, capsys):

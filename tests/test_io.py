@@ -159,6 +159,32 @@ class TestFieldFile:
         with pytest.raises(FormatError, match=column):
             read_field_file(path)
 
+    def test_rejects_duplicate_column_names(self, tmp_path, medium, rng):
+        c = random_coefficients(2, medium, rng)
+        e, h = synthesize(c, 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        lines = path.read_text().splitlines()
+        lines[7] = lines[7].replace("re_H_r", "re_E_r")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="re_E_r"):
+            read_field_file(path)
+
+    def test_rejects_imaginary_part_without_real_part(self, tmp_path, medium, rng):
+        c = random_coefficients(2, medium, rng)
+        e, h = synthesize(c, 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        lines = path.read_text().splitlines()
+        idx = lines[7].split(",").index("re_H_phi")
+        for i in range(8, len(lines)):
+            row = lines[i].split(",")
+            row[idx] = ""
+            lines[i] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="H_phi"):
+            read_field_file(path)
+
     def test_node_order_theta_major(self, tmp_path, medium, rng):
         c = random_coefficients(2, medium, rng)
         grid = make_grid(2, 1.0)
