@@ -232,7 +232,11 @@ def read_field_file(path) -> FieldFileData:
         im = _float_column(path, f"im_{name}", im_cells)
         if (re is None) != (im is None):
             raise FormatError(f"{path}: column {name} is partially empty")
-        columns[name] = None if re is None else re + 1j * im
+        if re is None:
+            columns[name] = None
+        else:  # filled part by part: re + 1j * im turns -0.0 parts into +0.0
+            columns[name] = np.empty(len(re), complex)
+            columns[name].real, columns[name].imag = re, im
     return FieldFileData(grid, medium, frequency, columns)
 
 

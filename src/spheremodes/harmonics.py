@@ -7,8 +7,11 @@ The transverse harmonics used throughout are
     Z_lm = r^ x X_lm
 
 and Y_lm r^ is the radial one. Projections are plain quadrature sums
-Sum_i w_i conj(V(theta_i, phi_i)) . F_i with a fixed-order pairwise reduction,
-so results are deterministic no matter how callers parallelize over nodes.
+Sum_i w_i conj(V(theta_i, phi_i)) . F_i, one dot product (per 8192-node
+block) for each pair of weighted conjugate table row and sample column: each
+entry's bits depend only on that row and that column, not on how many modes
+are batched, on the samples' memory layout, on which other columns exist, or
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ class GridResolutionWarning(UserWarning):
 
 
 REDUCTION_BLOCK = 64
+# OpenBLAS splits a dot product longer than 10 000 elements across its threads,
+# which makes its bits depend on the thread count; shorter blocks never split.
+DOT_BLOCK = 8192
 
 
 def mode_count(l_max: int) -> int:
@@ -48,26 +54,25 @@ def mode_degrees(l_max: int) -> np.ndarray:
 
 
 def fixed_order_sum(values: np.ndarray):
-    """Deterministic reduction along the last axis.
+    """Deterministic reduction of a 1-d array (the power flux quadrature).
 
-    Each row is cut into fixed 64-element blocks; each block's partial is
+    The array is cut into fixed 64-element blocks; each block's partial is
     np.sum over that contiguous block, and the partials are combined along a
-    binary tree that depends only on the row length. A parallel caller that
+    binary tree that depends only on the array length. A parallel caller that
     computes block partials the same way gets a bit-identical result no
-    matter in which order its workers finish, and every row of a 2-d input
-    reduces exactly as it would alone.
+    matter in which order its workers finish.
     """
     values = np.asarray(values)
-    n = values.shape[-1]
+    if values.ndim != 1:
+        raise ValueError(f"fixed_order_sum reduces 1-d arrays, got shape {values.shape}")
+    n = len(values)
     if n == 0:
-        return np.zeros(values.shape[:-1], values.dtype)[()]
+        return values.dtype.type(0)
     n_full = n - n % REDUCTION_BLOCK
-    blocks = np.add.reduce(
-        values[..., :n_full].reshape(values.shape[:-1] + (-1, REDUCTION_BLOCK)), axis=-1)
     # python scalars add exactly like numpy ones and cost less per add
-    partials = blocks.tolist() if blocks.ndim == 1 else list(np.moveaxis(blocks, -1, 0))
+    partials = np.add.reduce(values[:n_full].reshape(-1, REDUCTION_BLOCK), axis=1).tolist()
     if n_full < n:
-        partials.append(np.add.reduce(values[..., n_full:], axis=-1))
+        partials.append(np.add.reduce(values[n_full:]))
     step = 1
     while step < len(partials):  # each pass adds neighbours `step` apart: one tree level
         for i in range(0, len(partials) - step, 2 * step):
@@ -220,7 +225,7 @@ class FieldSamples:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.n_nodes, 3):
             raise ValueError(f"values must have shape ({self.grid.n_nodes}, 3), got {values.shape}")
-        if not np.isfinite(values.view(float)).all():
+        if not np.isfinite(values).all():  # any memory layout
             raise ValueError("field samples must be finite everywhere")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -258,9 +263,24 @@ def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:
     return TangentialVector(-x.v_phi, x.v_theta)
 
 
+def _dot(rows, column):
+    """Sum_i rows[..., i] column[i]: per row, the in-order sum of one dot
+    product per DOT_BLOCK nodes. np.vecdot conjugates its first operand, so
+    it gets conj(column), a fresh contiguous copy of just that column (a
+    strided operand would take another summation path and give other bits)."""
+    conj = np.conj(column)
+    if len(conj) <= DOT_BLOCK:  # the one-block case, without the slicing cost
+        return np.vecdot(conj, rows)
+    total = np.vecdot(conj[:DOT_BLOCK], rows[..., :DOT_BLOCK])
+    for lo in range(DOT_BLOCK, len(conj), DOT_BLOCK):
+        total = total + np.vecdot(conj[lo:lo + DOT_BLOCK], rows[..., lo:lo + DOT_BLOCK])
+    return total
+
+
 def _project(samples: FieldSamples, kind: str, l: int, kernel):
     """Quadrature sum of w conj(V) . F for the kernel rows: one mode, or a
-    stack of modes up to degree l. project and project_all both reduce here."""
+    stack of modes up to degree l. project and project_all both reduce here,
+    each row against only the columns the kind reads."""
     if kind not in PROJECTION_KINDS:
         raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
     if l > samples.grid.l_max:
@@ -271,14 +291,11 @@ def _project(samples: FieldSamples, kind: str, l: int, kernel):
     wy, wx_theta, wx_phi = kernel
     values = samples.values
     if kind == "Yr":
-        return fixed_order_sum(wy * values[:, 0])
+        return _dot(wy, values[:, 0])
+    f_theta, f_phi = values[:, 1], values[:, 2]
     if kind == "X":
-        integrand = wx_theta * values[:, 1]
-        integrand += wx_phi * values[:, 2]
-    else:  # Z = (-X_phi, X_theta)
-        integrand = wx_theta * values[:, 2]
-        integrand -= wx_phi * values[:, 1]
-    return fixed_order_sum(integrand)
+        return _dot(wx_theta, f_theta) + _dot(wx_phi, f_phi)
+    return _dot(wx_theta, f_phi) - _dot(wx_phi, f_theta)  # Z = (-X_phi, X_theta)
 
 
 def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:

@@ -180,6 +180,17 @@ class TestEquivalenceReport:
             assert report.residuals.max() <= 1e-9
             assert all(v > 0 for v in report.condition_indicators.values())
 
+    def test_report_equals_single_routes_bit_for_bit(self):
+        medium = Medium(k=20.0)
+        c = random_coefficients(16, medium, np.random.default_rng(16))
+        e, h = synthesized(c)
+        result = equivalence_report(e, h, 16)
+        for report, alone in ((result.radial, extract_radial(e, h, 16)),
+                              (result.tangential_e, extract_tangential_e(e, 16)),
+                              (result.tangential_h, extract_tangential_h(h, 16))):
+            for got, want in ((report.coeffs.a_e, alone.a_e), (report.coeffs.a_m, alone.a_m)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_zero_fields(self, medium):
         grid = make_grid(3, 1.0)
         zeros = np.zeros((grid.n_nodes, 3), complex)

@@ -80,8 +80,8 @@ def reference_columns(path):
     for name in FIELD_COLUMNS:
         re = [row[header.index(f"re_{name}")].strip() for row in cells]
         im = [row[header.index(f"im_{name}")].strip() for row in cells]
-        out[name] = None if re[0] == "" else (np.array([float(v) for v in re])
-                                              + 1j * np.array([float(v) for v in im]))
+        out[name] = None if re[0] == "" else np.array(
+            [complex(float(r), float(i)) for r, i in zip(re, im)])
     return out
 
 

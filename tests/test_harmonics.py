@@ -1,5 +1,10 @@
 """Sphere grid, vector harmonics, and projection integrals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from spheremodes.harmonics import (PROJECTION_KINDS, FieldSamples, GridResolutio
 from spheremodes.specfun import ModeIndex
 
 FOUR_PI = 4.0 * np.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def mode_samples(grid, family, mode):
@@ -238,7 +244,7 @@ class TestBasisTable:
         values = rng.normal(size=(grid.n_nodes, 3)) + 1j * rng.normal(size=(grid.n_nodes, 3))
         return FieldSamples(grid, "E", values)
 
-    @pytest.mark.parametrize("l_max,n_theta,n_phi", [(7, None, None), (5, 11, 17)])
+    @pytest.mark.parametrize("l_max,n_theta,n_phi", [(7, None, None), (5, 11, 17), (2, 100, 120)])
     def test_project_all_matches_project_bit_for_bit(self, l_max, n_theta, n_phi):
         grid = make_grid(l_max, 1.0, n_theta=n_theta, n_phi=n_phi)
         samples = self._random_samples(grid, l_max)
@@ -247,6 +253,12 @@ class TestBasisTable:
             single = [project(samples, kind, ModeIndex(l, m))
                       for l in range(1, l_max + 1) for m in range(-l, l + 1)]
             assert np.array_equal(batched, np.array(single))
+            # against the integrand summed by numpy
+            wy, wxt, wxp = (rows[:mode_count(l_max)] for rows in grid.basis_table(l_max)[3:])
+            _, f_theta, f_phi = samples.values.T
+            integrand = {"Yr": wy * samples.values[:, 0], "X": wxt * f_theta + wxp * f_phi,
+                         "Z": wxt * f_phi - wxp * f_theta}[kind]
+            assert np.allclose(batched, integrand.sum(axis=1), rtol=0.0, atol=1e-12)
 
     def test_project_all_matches_project_after_table_growth(self):
         grid = make_grid(6, 1.0)
@@ -259,6 +271,52 @@ class TestBasisTable:
                       for l in range(1, 7) for m in range(-l, l + 1)]
             assert np.array_equal(batched, np.array(single))
         assert np.array_equal(project_all(samples, "X", 6)[:mode_count(2)], small)
+
+    def test_bits_independent_of_sample_layout(self):
+        grid = make_grid(6, 1.0)
+        values = self._random_samples(grid, 4).values
+        wide = np.zeros((grid.n_nodes, 7), complex)
+        wide[:, 1::2] = values
+        layouts = [values.copy(), np.asfortranarray(values), wide[:, 1::2]]
+        assert not layouts[1].flags.c_contiguous
+        assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+        mode = ModeIndex(5, -3)
+        for kind in PROJECTION_KINDS:
+            got = [FieldSamples(grid, "E", layout) for layout in layouts]
+            batched = [project_all(samples, kind, 6) for samples in got]
+            single = [project(samples, kind, mode) for samples in got]
+            for other in batched[1:]:
+                assert np.array_equal(other.view(np.uint64), batched[0].view(np.uint64))
+            assert single[0] == single[1] == single[2]
+
+    def test_leading_rows_of_a_grown_table(self):
+        grid = make_grid(8, 1.0)
+        samples = self._random_samples(grid, 2)
+        grid.basis_table(8)
+        for kind in PROJECTION_KINDS:
+            full = project_all(samples, kind, 8)
+            for l in (1, 2, 5, 7):
+                assert np.array_equal(project_all(samples, kind, l), full[:mode_count(l)])
+
+    def test_bits_independent_of_blas_threads(self):
+        # 12 000 nodes: one dot product over all of them would be split across
+        # OpenBLAS threads, and its bits would follow the thread count
+        code = ("import numpy as np\n"
+                "from spheremodes.harmonics import PROJECTION_KINDS, FieldSamples, make_grid, "
+                "project_all\n"
+                "grid = make_grid(2, 1.0, n_theta=100, n_phi=120)\n"
+                "values = np.random.default_rng(5).normal(size=(grid.n_nodes, 6)).view(complex)\n"
+                "samples = FieldSamples(grid, 'E', values)\n"
+                "got = [project_all(samples, kind, 2) for kind in PROJECTION_KINDS]\n"
+                "print(np.concatenate(got).view(np.uint64).tolist())\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs.append(run.stdout)
+        assert runs[0] == runs[1]
 
     def test_table_rows_and_memory_bound(self):
         grid = make_grid(24, 0.7)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_coefficients
-from spheremodes import Medium, make_grid, synthesize
+from spheremodes import FieldSamples, Medium, make_grid, synthesize
 from spheremodes.fileio import (FormatError, read_coefficients, read_field_file,
                                 write_coefficients, write_field_file, write_pattern_csv)
 
@@ -89,6 +89,21 @@ class TestFieldFile:
             assert np.array_equal(data.columns[name], col)
         rebuilt = data.samples("E")
         assert np.array_equal(rebuilt.values, e.values)
+
+    def test_signed_zeros_read_back_bit_for_bit(self, tmp_path, medium, rng):
+        grid = make_grid(2, 1.0)
+        values = rng.normal(size=(grid.n_nodes, 3)) + 1j * rng.normal(size=(grid.n_nodes, 3))
+        values[0, 0] = complex(-0.0, 2.0)
+        values[1, 1] = complex(3.0, -0.0)
+        values[2, 2] = complex(-0.0, -0.0)
+        e = FieldSamples(grid, "E", values, medium)
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, None, 3e8)
+        data = read_field_file(path)
+        got = data.samples("E").values
+        assert np.array_equal(got.view(np.uint64), e.values.view(np.uint64))
+        assert np.signbit(data.columns["E_r"][0].real)
+        assert np.signbit(data.columns["E_theta"][1].imag)
 
     def test_e_only_file_has_no_h_columns(self, tmp_path, medium, rng):
         c = random_coefficients(2, medium, rng)
