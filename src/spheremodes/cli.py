@@ -19,7 +19,7 @@ from .extraction import (ROUTE_RADIAL, ROUTE_TAN_E, ROUTE_TAN_H, equivalence_rep
                          extract_radial, extract_tangential_e, extract_tangential_h)
 from .fileio import (FIELD_COLUMNS, FormatError, read_coefficients, read_field_file,
                      write_coefficients, write_field_file, write_pattern_csv)
-from .harmonics import make_grid
+from .harmonics import make_grid, require_positive
 from .multipole import SPEED_OF_LIGHT, duality, far_field, mode_slot, modes_upto, synthesize
 
 EXIT_OK = 0
@@ -45,8 +45,7 @@ def _pattern_directions(n_theta: int, n_phi: int):
 
 def cmd_synth(args) -> int:
     coeffs, frequency = read_coefficients(args.coeff_file)
-    if args.radius <= 0.0:
-        raise InputError(f"radius must be > 0, got {args.radius}")
+    require_positive("radius", args.radius)
     grid_l_max = args.grid_lmax if args.grid_lmax is not None else coeffs.l_max
     if grid_l_max < coeffs.l_max:
         raise InputError(
@@ -123,10 +122,8 @@ def cmd_farfield(args) -> int:
 
 
 def cmd_dipole(args) -> int:
-    if args.current <= 0.0:
-        raise InputError(f"current must be > 0, got {args.current}")
-    if args.freq <= 0.0:
-        raise InputError(f"frequency must be > 0, got {args.freq}")
+    require_positive("current", args.current)
+    require_positive("frequency", args.freq)
     spec = dipole_mod.DipoleSpec(args.current, SPEED_OF_LIGHT / args.freq)
 
     grid = make_grid(args.grid_lmax, spec.source_radius)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import extract_radial
-from .harmonics import FieldSamples, SphereGrid, make_grid
+from .harmonics import FieldSamples, SphereGrid, make_grid, require_positive
 from .multipole import CoefficientSet, Medium, duality, far_field, synthesize
 
 DIPOLE_L_MAX = 5
@@ -38,10 +38,10 @@ class DipoleSpec:
     wavelength: float
 
     def __post_init__(self):
-        if self.current_amplitude < 0.0:
-            raise ValueError(f"current amplitude must be >= 0, got {self.current_amplitude}")
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        if not (self.current_amplitude >= 0.0) or not np.isfinite(self.current_amplitude):
+            raise ValueError(f"current amplitude must be finite and >= 0, "
+                             f"got {self.current_amplitude}")
+        require_positive("wavelength", self.wavelength)
 
     @property
     def source_radius(self) -> float:

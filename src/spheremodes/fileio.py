@@ -15,7 +15,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .harmonics import FieldSamples, SphereGrid, make_grid, mode_degrees
-from .multipole import SPEED_OF_LIGHT, CoefficientSet, Medium, mode_count, mode_slot
+from .multipole import (SPEED_OF_LIGHT, CoefficientSet, Medium, mode_count, mode_slot,
+                        modes_upto)
 
 COEFF_SCHEMA_VERSION = "1"
 
@@ -73,19 +74,29 @@ def read_coefficients(path):
         modes = doc["modes"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: missing or malformed field ({exc})") from exc
-    a_e = np.full(mode_count(l_max), np.nan, complex)
-    a_m = np.full(mode_count(l_max), np.nan, complex)
+    a_e = np.zeros(mode_count(l_max), complex)
+    a_m = np.zeros(mode_count(l_max), complex)
+    filled = np.zeros(mode_count(l_max), bool)
     for row in modes:
         l, m = int(row["l"]), int(row["m"])
         if l < 1 or l > l_max or abs(m) > l:
             raise FormatError(f"{path}: mode (l={l}, m={m}) outside 1..l_max={l_max}")
         slot = mode_slot(l, m)
-        if not np.isnan(a_e[slot].real):
+        if filled[slot]:
             raise FormatError(f"{path}: duplicate mode (l={l}, m={m})")
         a_e[slot] = complex(row["aE"][0], row["aE"][1])
         a_m[slot] = complex(row["aM"][0], row["aM"][1])
-    if np.isnan(a_e.view(float)).any() or np.isnan(a_m.view(float)).any():
-        raise FormatError(f"{path}: not every (l, m) with l <= {l_max} appears exactly once")
+        filled[slot] = True
+    if not filled.all():
+        mode = modes_upto(l_max)[np.argmin(filled)]
+        raise FormatError(f"{path}: mode (l={mode.l}, m={mode.m}) missing; every (l, m) "
+                          f"with l <= {l_max} must appear exactly once")
+    finite = np.isfinite(a_e) & np.isfinite(a_m)
+    if not finite.all():
+        slot = np.argmin(finite)
+        mode = modes_upto(l_max)[slot]
+        raise FormatError(f"{path}: mode (l={mode.l}, m={mode.m}) has a non-finite coefficient "
+                          f"(aE={a_e[slot]}, aM={a_m[slot]})")
     return CoefficientSet(l_max, medium, a_e, a_m), frequency
 
 

@@ -37,6 +37,12 @@ REDUCTION_BLOCK = 64
 DOT_BLOCK = 8192
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and > 0 (NaN is neither)."""
+    if not (value > 0.0) or not np.isfinite(value):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def mode_count(l_max: int) -> int:
     """Number of radiating modes with 1 <= l <= l_max: l_max (l_max + 2)."""
     return l_max * (l_max + 2)
@@ -109,8 +115,7 @@ class SphereGrid:
 
     def with_radius(self, r0: float) -> "SphereGrid":
         """Same angular nodes, weights and basis table on a sphere of a different radius."""
-        if r0 <= 0.0:
-            raise ValueError(f"radius must be > 0, got {r0}")
+        require_positive("radius", r0)
         return SphereGrid(r0, self.l_max, self.n_theta, self.n_phi,
                           self.theta_nodes, self.phi_nodes,
                           self.theta, self.phi, self.weights, self._basis_cache)
@@ -131,17 +136,26 @@ class SphereGrid:
         if table is not None and table[0].shape[0] >= mode_count(l_max):
             return table
         self._basis_cache.clear()
-        # filled one order at a time, so no temporary is larger than one order's rows
-        table = tuple(np.empty((mode_count(l_max), self.n_nodes), complex) for _ in range(6))
-        for m, n, tau, pi_ in legendre_theta_orders(l_max, self.theta_nodes[:, None]):
+        # each row is a theta profile times e^{i m phi}: collect the profiles of
+        # Y, X_theta, X_phi and each row's phase, then form each array as one
+        # broadcast product
+        n_modes = mode_count(l_max)
+        profiles = (np.empty((n_modes, self.n_theta)), np.empty((n_modes, self.n_theta)),
+                    np.empty((n_modes, self.n_theta), complex))
+        phases = np.empty((n_modes, self.n_phi), complex)
+        for m, n, tau, pi_ in legendre_theta_orders(l_max, self.theta_nodes):
             ls = np.arange(max(abs(m), 1), l_max + 1)
             slots = mode_slot(ls, m)
-            phase = np.exp(1j * m * self.phi_nodes)
-            blocks = (n * phase, *_transverse(ls[:, None, None], tau, pi_, phase))
-            for rows, weighted, block in zip(table[:3], table[3:], blocks):
-                block = block.reshape(len(ls), self.n_nodes)
-                rows[slots] = block
-                weighted[slots] = self.weights * np.conj(block)
+            for rows, profile in zip(profiles, (n, *_transverse(ls[:, None], tau, pi_))):
+                rows[slots] = profile
+            phases[slots] = np.exp(1j * m * self.phi_nodes)
+        table = [(profile[:, :, None] * phases[:, None, :]).reshape(n_modes, self.n_nodes)
+                 for profile in profiles]
+        for rows in table[:3]:
+            weighted = np.conj(rows)
+            weighted *= self.weights  # in place, so no second temporary
+            table.append(weighted)
+        table = tuple(table)
         for rows in table:  # every grid at every radius shares these rows
             rows.flags.writeable = False
         self._basis_cache["table"] = table
@@ -172,8 +186,7 @@ def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
     """
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    if r0 <= 0.0:
-        raise ValueError(f"radius must be > 0, got {r0}")
+    require_positive("radius", r0)
     if n_theta is None:
         n_theta = l_max + 1
     if n_phi is None:
@@ -243,18 +256,19 @@ class FieldSamples:
         return self.values[:, 2]
 
 
-def _transverse(l, tau, pi_, phase):
-    """(X_theta, X_phi) of degree l from the kernel's (tau, pi) and e^{i m phi};
+def _transverse(l, tau, pi_):
+    """theta profiles (pi / sqrt(l(l+1)), i tau / sqrt(l(l+1))) of degree l from
+    the kernel's (tau, pi): times e^{i m phi} they are (X_theta, X_phi), and
     Z_lm = r^ x X_lm is (-X_phi, X_theta)."""
     root = np.sqrt(l * (l + 1.0))
-    return pi_ / root * phase, 1j * tau / root * phase
+    return pi_ / root, 1j * tau / root
 
 
 def vec_X(mode: ModeIndex, theta, phi) -> TangentialVector:
     """Transverse vector harmonic X_lm at (theta, phi); rejects l = 0 via ModeIndex."""
     _, tau, pi_ = legendre_theta_kernel(mode.l, mode.m, theta)
     phase = np.exp(1j * np.asarray(mode.m * np.asarray(phi, dtype=float)))
-    return TangentialVector(*_transverse(mode.l, tau, pi_, phase))
+    return TangentialVector(*(profile * phase for profile in _transverse(mode.l, tau, pi_)))
 
 
 def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:

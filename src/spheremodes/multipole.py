@@ -23,8 +23,9 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .harmonics import (FieldSamples, GridResolutionWarning, SphereGrid, _transverse,
-                        fixed_order_sum, mode_count, mode_degrees, mode_slot)
+from .harmonics import (FieldSamples, GridResolutionWarning, SphereGrid,
+                        fixed_order_sum, mode_count, mode_degrees, mode_slot,
+                        require_positive)
 from .specfun import ModeIndex, legendre_theta_orders, radial_factors
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -47,15 +48,12 @@ class Medium:
     mu0: float = VACUUM_PERMEABILITY
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError(f"wavenumber must be > 0, got {self.k}")
-        if self.z0 <= 0.0:
-            raise ValueError(f"impedance must be > 0, got {self.z0}")
+        require_positive("wavenumber", self.k)
+        require_positive("impedance", self.z0)
 
     @classmethod
     def free_space(cls, frequency_hz: float) -> "Medium":
-        if frequency_hz <= 0.0:
-            raise ValueError(f"frequency must be > 0, got {frequency_hz}")
+        require_positive("frequency", frequency_hz)
         return cls(k=2.0 * np.pi * frequency_hz / SPEED_OF_LIGHT)
 
     @property
@@ -159,8 +157,7 @@ def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     re-labeled with radius r. Valid only in the source-free exterior (caller's
     responsibility).
     """
-    if r <= 0.0:
-        raise ValueError(f"radius must be > 0, got {r}")
+    require_positive("radius", r)
     if grid.l_max < coeffs.l_max:
         warnings.warn(
             f"synthesizing degree l_max={coeffs.l_max} on a grid declared exact "
@@ -196,26 +193,44 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
 
     with the e^{ikr}/(kr) factor stripped; the radial component vanishes
     identically. The asymptotic constant is pinned by the large-radius
-    synthesis test rather than taken on faith. Harmonics are evaluated one
-    order at a time, so memory stays at one order's degrees x directions.
+    synthesis test rather than taken on faith.
+
+    Each order's terms are a theta profile times e^{i m phi}, so the Legendre
+    recurrence runs on the distinct polar angles only, each order's degrees
+    are reduced to two profiles per distinct angle (one dot product each),
+    and the directions gather them and add the orders in a fixed order: the
+    cost is O(n_theta l_max^2 + n_directions l_max) for n_theta distinct
+    polar angles. Each direction's bits depend only on its own (theta, phi)
+    bits, not on which other directions are requested. Directions must be
+    finite; an empty (0, 2) array gives an empty pattern.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.shape[-1] != 2:
+    if directions.ndim != 2 or directions.shape[1] != 2:
         raise ValueError("directions must be (theta, phi) pairs")
-    theta = directions[:, 0]
-    phi = directions[:, 1]
+    if not np.isfinite(directions).all():
+        raise ValueError("directions must be finite")
+    # distinct angles by bit pattern, so -0.0 and 0.0 are never merged
+    (theta, theta_at), (phi, phi_at) = (
+        np.unique(np.ascontiguousarray(angles).view(np.int64), return_inverse=True)
+        for angles in directions.T)
+    theta, phi = theta.view(float), phi.view(float)
     med = coeffs.medium
+    l = mode_degrees(coeffs.l_max)
+    scale = med.z0 * np.array([1, -1j, -1, 1j])[(l + 1) % 4] / np.sqrt(l * (l + 1.0))
+    u, v = scale * coeffs.a_m, scale * coeffs.a_e  # Z0 (-i)^{l+1} a / sqrt(l(l+1))
+    # a_M X - a_E Z with X = (pi, i tau) / sqrt(l(l+1)) e^{i m phi}, Z = (-X_phi, X_theta):
+    # E_theta = sum u pi + i v tau, E_phi = sum -v pi + i u tau, per mode slot
+    weights = np.array([[u, 1j * v], [-v, 1j * u]])
     e_theta = np.zeros(directions.shape[0], complex)
     e_phi = np.zeros(directions.shape[0], complex)
     for m, _, tau, pi_ in legendre_theta_orders(coeffs.l_max, theta):
-        ls = np.arange(max(abs(m), 1), coeffs.l_max + 1)
-        x_theta, x_phi = _transverse(ls[:, None], tau, pi_, np.exp(1j * m * phi))
-        c = med.z0 * np.array([1, -1j, -1, 1j])[(ls + 1) % 4]  # Z0 (-i)^{l+1}
-        a_e = c * coeffs.a_e[mode_slot(ls, m)]
-        a_m = c * coeffs.a_m[mode_slot(ls, m)]
-        # a_M X - a_E Z with Z = (-X_phi, X_theta)
-        e_theta += a_m @ x_theta + a_e @ x_phi
-        e_phi += a_m @ x_phi - a_e @ x_theta
+        slots = mode_slot(np.arange(max(abs(m), 1), coeffs.l_max + 1), m)
+        # one contiguous (pi | tau) row per distinct theta, reduced over degree
+        rows = np.hstack([pi_.T, tau.T])
+        g_theta, g_phi = np.vecdot(rows, weights[:, None, :, slots].reshape(2, 1, -1))
+        phase = np.exp(1j * m * phi)[phi_at]
+        e_theta += g_theta[theta_at] * phase
+        e_phi += g_phi[theta_at] * phase
     return FarFieldPattern(directions, e_theta, e_phi, med.z0)
 
 

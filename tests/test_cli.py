@@ -60,6 +60,14 @@ class TestSynth:
         assert main(["synth", str(path), "--radius", "-1.0",
                      "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_rejects_non_finite_radius(self, coeff_file, tmp_path, capsys, radius):
+        path, _ = coeff_file
+        assert main(["synth", str(path), "--radius", radius,
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
+        assert "radius must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_rejects_missing_file(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), "--radius", "1.0",
                      "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
@@ -297,3 +305,9 @@ class TestDipoleCommand:
                      "--out-prefix", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
         assert main(["dipole", "--current", "0.0",
                      "--out-prefix", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("flag", ["--freq", "--current"])
+    def test_rejects_non_finite_parameters(self, tmp_path, flag):
+        assert main(["dipole", flag, "nan",
+                     "--out-prefix", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+        assert not list(tmp_path.iterdir())

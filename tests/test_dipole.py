@@ -22,6 +22,13 @@ class TestDipoleSpec:
         with pytest.raises(ValueError):
             DipoleSpec(1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="current amplitude must be finite"):
+            DipoleSpec(value, 1.0)
+        with pytest.raises(ValueError, match="wavelength must be finite"):
+            DipoleSpec(1.0, value)
+
     def test_source_radius_is_quarter_wave(self, spec):
         assert spec.source_radius == 0.25
         coeffs = halfwave_coeffs(spec)

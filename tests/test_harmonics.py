@@ -78,6 +78,13 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(3, 1.0, n_phi=6)
 
+    @pytest.mark.parametrize("r0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_radius(self, r0):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            make_grid(3, r0)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            make_grid(3, 1.0).with_radius(r0)
+
     def test_with_radius_shares_angles(self):
         grid = make_grid(3, 1.0)
         other = grid.with_radius(2.5)

@@ -66,6 +66,38 @@ class TestCoefficientFile:
         with pytest.raises(FormatError):
             read_coefficients(bad)
 
+    def test_nan_first_entry_does_not_hide_a_duplicate(self, tmp_path, medium):
+        c = random_coefficients(2, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        doc["modes"].insert(0, dict(doc["modes"][0], aE=[float("nan"), 0.0]))
+        path.write_text(json.dumps(doc))  # json writes the NaN as a bare NaN literal
+        with pytest.raises(FormatError, match=r"mode \(l=1, m=-1\)"):
+            read_coefficients(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("key,part", [("aE", 0), ("aE", 1), ("aM", 0), ("aM", 1)])
+    def test_rejects_non_finite_value_naming_the_mode(self, tmp_path, medium, value, key, part):
+        c = random_coefficients(2, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        doc["modes"][5][key][part] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"mode \(l=2, m=0\) has a non-finite"):
+            read_coefficients(path)
+
+    def test_missing_mode_is_named(self, tmp_path, medium):
+        c = random_coefficients(2, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        del doc["modes"][3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"mode \(l=2, m=-2\) missing"):
+            read_coefficients(path)
+
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")

@@ -9,8 +9,10 @@ from helpers import random_coefficients
 from spheremodes import (CoefficientSet, Medium, coefficient_deviation, duality,
                          far_field, make_grid, radiated_power, sph_harmonic, synthesize)
 from spheremodes import modes_upto, vec_X, vec_Z
-from spheremodes.harmonics import GridResolutionWarning
-from spheremodes.specfun import riccati_h1_deriv, sph_hankel1
+from spheremodes.harmonics import GridResolutionWarning, mode_count, mode_slot
+from spheremodes.specfun import legendre_theta_orders, riccati_h1_deriv, sph_hankel1
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 @pytest.fixture
@@ -91,6 +93,25 @@ class TestMedium:
             Medium(k=1.0, z0=-1.0)
         with pytest.raises(ValueError):
             Medium.free_space(0.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="wavenumber must be finite"):
+            Medium(k=value)
+        with pytest.raises(ValueError, match="impedance must be finite"):
+            Medium(k=1.0, z0=value)
+        with pytest.raises(ValueError, match="frequency must be finite"):
+            Medium.free_space(value)
+
+
+@pytest.mark.parametrize("r", NON_FINITE)
+def test_synthesis_rejects_non_finite_radius(medium, rng, r):
+    c = random_coefficients(2, medium, rng)
+    grid = make_grid(2, 1.0)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        synthesize(c, r, grid)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        radiated_power(c, r, grid)
 
 
 class TestCoefficientSet:
@@ -236,6 +257,84 @@ class TestFarField:
         scale = np.abs(p.e_theta).max()
         assert np.abs(p_dual.e_theta - (-medium.z0) * p.h_theta).max() <= 1e-12 * scale
         assert np.abs(p_dual.e_phi - (-medium.z0) * p.h_phi).max() <= 1e-12 * scale
+
+
+def bits(values):
+    """The raw bits of a complex array, so -0.0 and 0.0 tell apart."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def pattern_bits(coeffs, directions):
+    pattern = far_field(coeffs, directions)
+    return bits(np.column_stack([pattern.e_theta, pattern.e_phi]))
+
+
+class TestSeparableFarField:
+    def test_product_grid_matches_per_mode_sum(self, medium, rng):
+        c = random_coefficients(12, medium, rng)
+        grid = make_grid(25, 1.0)  # 26 x 52 directions
+        pattern = far_field(c, np.column_stack([grid.theta, grid.phi]))
+        got = np.column_stack([pattern.e_theta, pattern.e_phi])
+        ref = reference_pattern(c, grid.theta, grid.phi)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_each_direction_independent_of_the_others(self, medium, rng):
+        c = random_coefficients(8, medium, rng)
+        # product grid with both poles, as the farfield command samples it
+        theta = np.repeat(np.arange(13) * np.pi / 12, 10)
+        phi = np.tile(np.arange(10) * (2.0 * np.pi) / 10, 13)
+        grid_dirs = np.column_stack([theta, phi])
+        probes = grid_dirs[[0, 3, 17, 64, 65, 99, 121, 129]]  # rows 0-9 and 120-129 are poles
+        want = pattern_bits(c, grid_dirs)[[0, 3, 17, 64, 65, 99, 121, 129]]
+        alone = np.concatenate([pattern_bits(c, probe[None]) for probe in probes])
+        assert np.array_equal(alone, want)
+        scattered = np.column_stack([rng.uniform(0.0, np.pi, 50), rng.uniform(0.0, 2 * np.pi, 50)])
+        mixed = np.concatenate([scattered[:20], probes, scattered[20:]])
+        assert np.array_equal(pattern_bits(c, mixed)[20:28], want)
+        repeated = np.concatenate([probes, [(0.0, 1.0), (np.pi, 2.0)], probes[::-1], probes])
+        got = pattern_bits(c, repeated)
+        assert np.array_equal(got[:8], want)
+        assert np.array_equal(got[10:18], want[::-1])
+        assert np.array_equal(got[18:], want)
+
+    def test_empty_directions_give_an_empty_pattern(self, medium, rng):
+        pattern = far_field(random_coefficients(3, medium, rng), np.empty((0, 2)))
+        assert pattern.e_theta.shape == pattern.e_phi.shape == (0,)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_rejects_non_finite_directions(self, medium, rng, value, column):
+        dirs = np.column_stack([rng.uniform(0.1, 3.0, 4), rng.uniform(0, 2 * np.pi, 4)])
+        dirs[2, column] = value
+        with pytest.raises(ValueError, match="finite"):
+            far_field(random_coefficients(3, medium, rng), dirs)
+
+
+def per_order_table(grid, l_max):
+    """The basis table filled one Legendre order at a time, each order's rows
+    formed on the full node grid: the construction the one-pass build must
+    reproduce bit for bit."""
+    table = tuple(np.empty((mode_count(l_max), grid.n_nodes), complex) for _ in range(6))
+    for m, n, tau, pi_ in legendre_theta_orders(l_max, grid.theta_nodes[:, None]):
+        ls = np.arange(max(abs(m), 1), l_max + 1)
+        root = np.sqrt(ls * (ls + 1.0))[:, None, None]
+        phase = np.exp(1j * m * grid.phi_nodes)
+        blocks = (n * phase, pi_ / root * phase, 1j * tau / root * phase)
+        for rows, weighted, block in zip(table[:3], table[3:], blocks):
+            block = block.reshape(len(ls), grid.n_nodes)
+            rows[mode_slot(ls, m)] = block
+            weighted[mode_slot(ls, m)] = grid.weights * np.conj(block)
+    return table
+
+
+@pytest.mark.parametrize("l_max,grid_args", [(12, (12, 1.0)), (16, (16, 1.0)),
+                                             (12, (16, 2.0, 20, 35))])
+def test_basis_table_rows_match_per_order_build(l_max, grid_args):
+    table = make_grid(*grid_args).basis_table(l_max)
+    want = per_order_table(make_grid(*grid_args), l_max)
+    for got, ref in zip(table, want):
+        assert got.shape == ref.shape
+        assert np.array_equal(bits(got), bits(ref))
 
 
 class TestDuality:
