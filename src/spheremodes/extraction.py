@@ -95,6 +95,8 @@ class EquivalenceResult:
 
 def route_condition(route: str, medium: Medium, r0: float, l_max: int) -> Dict[int, float]:
     """Per-degree magnitude of the largest divisor the route uses."""
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     h, d = radial_factors(l_max, medium.k * r0)
     if route == ROUTE_RADIAL:
         mags = np.abs(h)

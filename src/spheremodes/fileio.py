@@ -77,15 +77,22 @@ def read_coefficients(path):
     a_e = np.zeros(mode_count(l_max), complex)
     a_m = np.zeros(mode_count(l_max), complex)
     filled = np.zeros(mode_count(l_max), bool)
-    for row in modes:
-        l, m = int(row["l"]), int(row["m"])
+    if not isinstance(modes, list):
+        raise FormatError(f"{path}: modes must be a list of mode rows")
+    for index, row in enumerate(modes):
+        try:
+            l, m = int(row["l"]), int(row["m"])
+            a_e_lm = complex(row["aE"][0], row["aE"][1])
+            a_m_lm = complex(row["aM"][0], row["aM"][1])
+        except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: mode row {index} missing or malformed "
+                              f"({type(exc).__name__}: {exc})") from exc
         if l < 1 or l > l_max or abs(m) > l:
             raise FormatError(f"{path}: mode (l={l}, m={m}) outside 1..l_max={l_max}")
         slot = mode_slot(l, m)
         if filled[slot]:
             raise FormatError(f"{path}: duplicate mode (l={l}, m={m})")
-        a_e[slot] = complex(row["aE"][0], row["aE"][1])
-        a_m[slot] = complex(row["aM"][0], row["aM"][1])
+        a_e[slot], a_m[slot] = a_e_lm, a_m_lm
         filled[slot] = True
     if not filled.all():
         mode = modes_upto(l_max)[np.argmin(filled)]

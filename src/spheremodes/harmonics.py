@@ -8,7 +8,7 @@ The transverse harmonics used throughout are
 
 and Y_lm r^ is the radial one. Projections are plain quadrature sums
 Sum_i w_i conj(V(theta_i, phi_i)) . F_i, one dot product (per 8192-node
-block) for each pair of weighted conjugate table row and sample column: each
+block) for each pair of table row and weighted sample column w F: each
 entry's bits depend only on that row and that column, not on how many modes
 are batched, on the samples' memory layout, on which other columns exist, or
 on the BLAS thread count.
@@ -31,7 +31,6 @@ class GridResolutionWarning(UserWarning):
     """A quadrature grid's declared exactness is below what an operation needs."""
 
 
-REDUCTION_BLOCK = 64
 # OpenBLAS splits a dot product longer than 10 000 elements across its threads,
 # which makes its bits depend on the thread count; shorter blocks never split.
 DOT_BLOCK = 8192
@@ -60,31 +59,12 @@ def mode_degrees(l_max: int) -> np.ndarray:
 
 
 def fixed_order_sum(values: np.ndarray):
-    """Deterministic reduction of a 1-d array (the power flux quadrature).
-
-    The array is cut into fixed 64-element blocks; each block's partial is
-    np.sum over that contiguous block, and the partials are combined along a
-    binary tree that depends only on the array length. A parallel caller that
-    computes block partials the same way gets a bit-identical result no
-    matter in which order its workers finish.
-    """
+    """Sum of a 1-d array (the power flux quadrature): numpy's pairwise
+    np.add.reduce."""
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError(f"fixed_order_sum reduces 1-d arrays, got shape {values.shape}")
-    n = len(values)
-    if n == 0:
-        return values.dtype.type(0)
-    n_full = n - n % REDUCTION_BLOCK
-    # python scalars add exactly like numpy ones and cost less per add
-    partials = np.add.reduce(values[:n_full].reshape(-1, REDUCTION_BLOCK), axis=1).tolist()
-    if n_full < n:
-        partials.append(np.add.reduce(values[n_full:]))
-    step = 1
-    while step < len(partials):  # each pass adds neighbours `step` apart: one tree level
-        for i in range(0, len(partials) - step, 2 * step):
-            partials[i] += partials[i + step]
-        step *= 2
-    return partials[0]
+    return np.add.reduce(values)
 
 
 @dataclass(eq=False)
@@ -125,9 +105,9 @@ class SphereGrid:
                 and self.r0 == other.r0 and self.l_max == other.l_max)
 
     def basis_table(self, l_max: int):
-        """(Y, X_theta, X_phi, w conj(Y), w conj(X_theta), w conj(X_phi)) at the
-        nodes, each (modes, n_nodes) in mode_slot order for at least every
-        degree up to l_max. Z is (-X_phi, X_theta) and is not stored.
+        """(Y, X_theta, X_phi) at the nodes, each (modes, n_nodes) in mode_slot
+        order for at least every degree up to l_max. Z is (-X_phi, X_theta)
+        and is not stored; projections weight the sample column, not the table.
 
         One table per angular grid, shared by every radius; it grows to the
         largest degree asked for, which may differ from the grid's l_max.
@@ -149,13 +129,8 @@ class SphereGrid:
             for rows, profile in zip(profiles, (n, *_transverse(ls[:, None], tau, pi_))):
                 rows[slots] = profile
             phases[slots] = np.exp(1j * m * self.phi_nodes)
-        table = [(profile[:, :, None] * phases[:, None, :]).reshape(n_modes, self.n_nodes)
-                 for profile in profiles]
-        for rows in table[:3]:
-            weighted = np.conj(rows)
-            weighted *= self.weights  # in place, so no second temporary
-            table.append(weighted)
-        table = tuple(table)
+        table = tuple((profile[:, :, None] * phases[:, None, :]).reshape(n_modes, self.n_nodes)
+                      for profile in profiles)
         for rows in table:  # every grid at every radius shares these rows
             rows.flags.writeable = False
         self._basis_cache["table"] = table
@@ -163,16 +138,15 @@ class SphereGrid:
 
     def mode_basis(self, mode: ModeIndex):
         """Per-node arrays (Y, X_theta, X_phi, Z_theta, Z_phi) for one mode."""
-        y, x_theta, x_phi = self.basis_table(mode.l)[:3]
         slot = mode_slot(mode.l, mode.m)
-        return y[slot], x_theta[slot], x_phi[slot], -x_phi[slot], x_theta[slot]
+        y, x_theta, x_phi = (rows[slot] for rows in self.basis_table(mode.l))
+        return y, x_theta, x_phi, -x_phi, x_theta
 
     def projection_kernel(self, mode: ModeIndex):
-        """Weighted conjugate basis (w conj(Y), w conj(X_theta), w conj(X_phi))
-        of one mode, so a projection is two multiplies and a reduction."""
+        """Table rows (Y, X_theta, X_phi) of one mode, the rows a projection
+        dots with the weighted sample columns."""
         slot = mode_slot(mode.l, mode.m)
-        _, _, _, wy, wx_theta, wx_phi = self.basis_table(mode.l)
-        return wy[slot], wx_theta[slot], wx_phi[slot]
+        return tuple(rows[slot] for rows in self.basis_table(mode.l))
 
 
 def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
@@ -278,23 +252,23 @@ def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:
 
 
 def _dot(rows, column):
-    """Sum_i rows[..., i] column[i]: per row, the in-order sum of one dot
-    product per DOT_BLOCK nodes. np.vecdot conjugates its first operand, so
-    it gets conj(column), a fresh contiguous copy of just that column (a
-    strided operand would take another summation path and give other bits)."""
-    conj = np.conj(column)
-    if len(conj) <= DOT_BLOCK:  # the one-block case, without the slicing cost
-        return np.vecdot(conj, rows)
-    total = np.vecdot(conj[:DOT_BLOCK], rows[..., :DOT_BLOCK])
-    for lo in range(DOT_BLOCK, len(conj), DOT_BLOCK):
-        total = total + np.vecdot(conj[lo:lo + DOT_BLOCK], rows[..., lo:lo + DOT_BLOCK])
+    """Sum_i conj(rows[..., i]) column[i]: per row, the in-order sum of one
+    dot product per DOT_BLOCK nodes. column must be a fresh contiguous array
+    (a strided operand would take another summation path and give other
+    bits); np.vecdot conjugates its first operand, so the rows go first."""
+    if len(column) <= DOT_BLOCK:  # the one-block case, without the slicing cost
+        return np.vecdot(rows, column)
+    total = np.vecdot(rows[..., :DOT_BLOCK], column[:DOT_BLOCK])
+    for lo in range(DOT_BLOCK, len(column), DOT_BLOCK):
+        total = total + np.vecdot(rows[..., lo:lo + DOT_BLOCK], column[lo:lo + DOT_BLOCK])
     return total
 
 
 def _project(samples: FieldSamples, kind: str, l: int, kernel):
-    """Quadrature sum of w conj(V) . F for the kernel rows: one mode, or a
-    stack of modes up to degree l. project and project_all both reduce here,
-    each row against only the columns the kind reads."""
+    """Quadrature sum of conj(V) . w F for the kernel rows (Y, X_theta, X_phi):
+    one mode, or a stack of modes up to degree l. project and project_all
+    both reduce here, each row against only the columns the kind reads, each
+    column weighted into a fresh contiguous array."""
     if kind not in PROJECTION_KINDS:
         raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
     if l > samples.grid.l_max:
@@ -302,14 +276,14 @@ def _project(samples: FieldSamples, kind: str, l: int, kernel):
             f"projection of degree l={l} on a grid declared exact only to "
             f"l_max={samples.grid.l_max}; the quadrature may alias",
             GridResolutionWarning, stacklevel=3)
-    wy, wx_theta, wx_phi = kernel
-    values = samples.values
+    y, x_theta, x_phi = kernel
+    values, w = samples.values, samples.grid.weights
     if kind == "Yr":
-        return _dot(wy, values[:, 0])
-    f_theta, f_phi = values[:, 1], values[:, 2]
+        return _dot(y, w * values[:, 0])
+    f_theta, f_phi = w * values[:, 1], w * values[:, 2]
     if kind == "X":
-        return _dot(wx_theta, f_theta) + _dot(wx_phi, f_phi)
-    return _dot(wx_theta, f_phi) - _dot(wx_phi, f_theta)  # Z = (-X_phi, X_theta)
+        return _dot(x_theta, f_theta) + _dot(x_phi, f_phi)
+    return _dot(x_theta, f_phi) - _dot(x_phi, f_theta)  # Z = (-X_phi, X_theta)
 
 
 def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
@@ -327,5 +301,5 @@ def project_all(samples: FieldSamples, kind: str, l_max: int) -> np.ndarray:
     """project() for every mode with l <= l_max at once, in mode_slot order;
     each entry equals the single-mode result bit for bit."""
     n = mode_count(l_max)
-    kernel = tuple(rows[:n] for rows in samples.grid.basis_table(l_max)[3:])
+    kernel = tuple(rows[:n] for rows in samples.grid.basis_table(l_max))
     return _project(samples, kind, l_max, kernel)

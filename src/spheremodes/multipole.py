@@ -30,7 +30,6 @@ from .specfun import ModeIndex, legendre_theta_orders, radial_factors
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 VACUUM_IMPEDANCE = 376.730313668  # ohm
-VACUUM_PERMEABILITY = 1.25663706212e-6  # H/m
 
 
 def modes_upto(l_max: int) -> list[ModeIndex]:
@@ -40,12 +39,10 @@ def modes_upto(l_max: int) -> list[ModeIndex]:
 
 @dataclass(frozen=True)
 class Medium:
-    """Lossless homogeneous medium: wavenumber k, wave impedance Z0,
-    permeability mu0 (the H = B/mu0 conversion factor)."""
+    """Lossless homogeneous medium: wavenumber k and wave impedance Z0."""
 
     k: float
     z0: float = VACUUM_IMPEDANCE
-    mu0: float = VACUUM_PERMEABILITY
 
     def __post_init__(self):
         require_positive("wavenumber", self.k)
@@ -167,7 +164,7 @@ def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     med = coeffs.medium
     x = med.k * r
     n = mode_count(coeffs.l_max)
-    y, x_theta, x_phi = (rows[:n] for rows in grid_at.basis_table(coeffs.l_max)[:3])
+    y, x_theta, x_phi = (rows[:n] for rows in grid_at.basis_table(coeffs.l_max))
     h, d = radial_factors(coeffs.l_max, x)
     l = mode_degrees(coeffs.l_max)
     f_x = h[l - 1]

@@ -1,5 +1,7 @@
 """CLI subcommands: pipelines, exit codes, and byte-level determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,17 @@ class TestSynth:
     def test_rejects_missing_file(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), "--radius", "1.0",
                      "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
+
+    def test_rejects_malformed_mode_row(self, coeff_file, tmp_path, capsys):
+        path, _ = coeff_file
+        doc = json.loads(path.read_text())
+        del doc["modes"][4]["aM"]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        assert main(["synth", str(path), "--radius", "1.0", "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mode row 4 missing or malformed" in err
+        assert not out.exists()
 
     def test_byte_deterministic(self, coeff_file, tmp_path):
         path, _ = coeff_file
@@ -203,6 +216,17 @@ class TestEquiv:
         field = tmp_path / "noisy.csv"
         write_field_file(field, noisy[0], noisy[1], FREQ)
         assert main(["equiv", str(field), "--lmax", "3", "--tol", "1e-3"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["extract", "equiv"])
+    @pytest.mark.parametrize("l_max", ["0", "-1"])
+    def test_rejects_degree_below_one(self, coeff_file, tmp_path, capsys, command, l_max):
+        path, _ = coeff_file
+        field = tmp_path / "field.csv"
+        assert main(["synth", str(path), "--radius", "1.0", "--out", str(field)]) == EXIT_OK
+        extra = ["--route", "tan-e", "--out", str(tmp_path / "o.json")]
+        args = [command, str(field), "--lmax", l_max, *(extra if command == "extract" else [])]
+        assert main(args) == EXIT_INPUT_ERROR
+        assert f"error: l_max must be >= 1, got {l_max}" in capsys.readouterr().err
 
     def test_missing_columns(self, coeff_file, tmp_path):
         path, c = coeff_file

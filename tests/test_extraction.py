@@ -167,6 +167,17 @@ class TestConditioning:
         with pytest.raises(ValueError):
             route_condition("sideways", medium, 1.0, 5)
 
+    @pytest.mark.parametrize("l_max", [0, -1])
+    def test_rejects_degree_below_one(self, medium, l_max):
+        with pytest.raises(ValueError, match=f"l_max must be >= 1, got {l_max}"):
+            route_condition("radial", medium, 1.0, l_max)
+        e, h = synthesized(CoefficientSet.zeros(2, medium))
+        for extract in (lambda: extract_radial(e, h, l_max), lambda: extract_tangential_e(e, l_max),
+                        lambda: extract_tangential_h(h, l_max),
+                        lambda: equivalence_report(e, h, l_max)):
+            with pytest.raises(ValueError, match=f"l_max must be >= 1, got {l_max}"):
+                extract()
+
 
 class TestEquivalenceReport:
     def test_synthesized_fields_agree(self, medium, rng):

@@ -98,6 +98,35 @@ class TestCoefficientFile:
         with pytest.raises(FormatError, match=r"mode \(l=2, m=-2\) missing"):
             read_coefficients(path)
 
+    @pytest.mark.parametrize("row,edit", [
+        (2, lambda row: row.pop("aM")),
+        (3, lambda row: row.update(aE=1.0)),
+        (4, lambda row: row.update(aE=["x", 0])),
+        (5, lambda row: row.update(aM=[1.0])),
+        (6, lambda row: row.update(l=None)),
+        (7, lambda row: row.update(m=1e400)),
+    ])
+    def test_rejects_malformed_mode_row_naming_it(self, tmp_path, medium, row, edit):
+        c = random_coefficients(2, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        edit(doc["modes"][row])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"c\.json: mode row {row} missing or malformed"):
+            read_coefficients(path)
+
+    @pytest.mark.parametrize("modes", [5, {"l": 1}, None])
+    def test_rejects_modes_that_are_not_a_list(self, tmp_path, medium, modes):
+        c = random_coefficients(1, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        doc["modes"] = modes
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"c\.json: modes must be a list"):
+            read_coefficients(path)
+
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")

@@ -94,6 +94,10 @@ class TestMedium:
         with pytest.raises(ValueError):
             Medium.free_space(0.0)
 
+    def test_has_no_permeability_field(self):
+        with pytest.raises(TypeError):
+            Medium(k=1.0, mu0=1.25663706212e-6)
+
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="wavenumber must be finite"):
@@ -314,16 +318,14 @@ def per_order_table(grid, l_max):
     """The basis table filled one Legendre order at a time, each order's rows
     formed on the full node grid: the construction the one-pass build must
     reproduce bit for bit."""
-    table = tuple(np.empty((mode_count(l_max), grid.n_nodes), complex) for _ in range(6))
+    table = tuple(np.empty((mode_count(l_max), grid.n_nodes), complex) for _ in range(3))
     for m, n, tau, pi_ in legendre_theta_orders(l_max, grid.theta_nodes[:, None]):
         ls = np.arange(max(abs(m), 1), l_max + 1)
         root = np.sqrt(ls * (ls + 1.0))[:, None, None]
         phase = np.exp(1j * m * grid.phi_nodes)
         blocks = (n * phase, pi_ / root * phase, 1j * tau / root * phase)
-        for rows, weighted, block in zip(table[:3], table[3:], blocks):
-            block = block.reshape(len(ls), grid.n_nodes)
-            rows[mode_slot(ls, m)] = block
-            weighted[mode_slot(ls, m)] = grid.weights * np.conj(block)
+        for rows, block in zip(table, blocks):
+            rows[mode_slot(ls, m)] = block.reshape(len(ls), grid.n_nodes)
     return table
 
 
@@ -332,6 +334,7 @@ def per_order_table(grid, l_max):
 def test_basis_table_rows_match_per_order_build(l_max, grid_args):
     table = make_grid(*grid_args).basis_table(l_max)
     want = per_order_table(make_grid(*grid_args), l_max)
+    assert len(table) == len(want)
     for got, ref in zip(table, want):
         assert got.shape == ref.shape
         assert np.array_equal(bits(got), bits(ref))
