@@ -14,7 +14,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .harmonics import FieldSamples, SphereGrid, make_grid, mode_degrees
+from .harmonics import (FieldSamples, SphereGrid, make_grid, mode_degrees, mode_orders,
+                        require_positive)
 from .multipole import (SPEED_OF_LIGHT, CoefficientSet, Medium, mode_count, mode_slot,
                         modes_upto)
 
@@ -53,51 +54,55 @@ def write_coefficients(path, coeffs: CoefficientSet, frequency_hz: float) -> Non
         f'  "medium": {{"k": {_fmt(coeffs.medium.k)}, "Z0": {_fmt(coeffs.medium.z0)}}},',
         '  "modes": [',
     ]
-    l = mode_degrees(coeffs.l_max)
-    m = np.arange(len(l)) - l * l - l + 1  # inverse of mode_slot
-    table = np.column_stack([l, m, coeffs.a_e.real, coeffs.a_e.imag,
+    table = np.column_stack([mode_degrees(coeffs.l_max), mode_orders(coeffs.l_max),
+                             coeffs.a_e.real, coeffs.a_e.imag,
                              coeffs.a_m.real, coeffs.a_m.imag])
     _write_table(path, head, _COEFF_ROW, table, tail_lines=("  ]", "}"), row_sep=",\n")
 
 
 def read_coefficients(path):
-    """Read a coefficient file; returns (CoefficientSet, frequency_hz)."""
+    """Read a coefficient file; returns (CoefficientSet, frequency_hz). Nothing
+    is allocated for l_max before its mode_count(l_max) rows are all read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        l_max = int(doc["l_max"])
+        l_max = doc["l_max"]
         frequency = float(doc["frequency_hz"])
+        require_positive("frequency", frequency)
         medium = Medium(k=float(doc["medium"]["k"]), z0=float(doc["medium"]["Z0"]))
         modes = doc["modes"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, OverflowError, TypeError) as exc:
         raise FormatError(f"{path}: missing or malformed field ({exc})") from exc
-    a_e = np.zeros(mode_count(l_max), complex)
-    a_m = np.zeros(mode_count(l_max), complex)
-    filled = np.zeros(mode_count(l_max), bool)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if type(l_max) is not int or l_max < 1:
+        raise FormatError(f"{path}: l_max must be an integer >= 1, got {l_max!r}")
     if not isinstance(modes, list):
         raise FormatError(f"{path}: modes must be a list of mode rows")
+    rows = {}  # mode_slot -> (aE, aM)
     for index, row in enumerate(modes):
         try:
-            l, m = int(row["l"]), int(row["m"])
-            a_e_lm = complex(row["aE"][0], row["aE"][1])
-            a_m_lm = complex(row["aM"][0], row["aM"][1])
-        except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
+            l, m, a_e_lm, a_m_lm = row["l"], row["m"], row["aE"], row["aM"]
+            if not (type(l) is type(m) is int and len(a_e_lm) == len(a_m_lm) == 2):
+                raise TypeError("l and m must be integers, aE and aM [re, im] pairs")
+            a_lm = complex(*a_e_lm), complex(*a_m_lm)
+        except (KeyError, OverflowError, TypeError) as exc:
             raise FormatError(f"{path}: mode row {index} missing or malformed "
                               f"({type(exc).__name__}: {exc})") from exc
         if l < 1 or l > l_max or abs(m) > l:
             raise FormatError(f"{path}: mode (l={l}, m={m}) outside 1..l_max={l_max}")
-        slot = mode_slot(l, m)
-        if filled[slot]:
+        if mode_slot(l, m) in rows:
             raise FormatError(f"{path}: duplicate mode (l={l}, m={m})")
-        a_e[slot], a_m[slot] = a_e_lm, a_m_lm
-        filled[slot] = True
-    if not filled.all():
-        mode = modes_upto(l_max)[np.argmin(filled)]
-        raise FormatError(f"{path}: mode (l={mode.l}, m={mode.m}) missing; every (l, m) "
-                          f"with l <= {l_max} must appear exactly once")
+        rows[mode_slot(l, m)] = a_lm
+    if len(rows) < mode_count(l_max):  # distinct and in range, so one is left out
+        l, m = next((l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)
+                    if mode_slot(l, m) not in rows)
+        raise FormatError(f"{path}: mode (l={l}, m={m}) missing; every (l, m) with "
+                          f"l <= {l_max} must appear exactly once")
+    a_e, a_m = np.array([rows[slot] for slot in range(len(rows))]).T
     finite = np.isfinite(a_e) & np.isfinite(a_m)
     if not finite.all():
         slot = np.argmin(finite)
@@ -185,7 +190,7 @@ def _float_column(path, name, cells) -> Optional[np.ndarray]:
 
 def read_field_file(path) -> FieldFileData:
     """Parse a field file; the grid is rebuilt from the declared preamble
-    geometry (extraction never guesses it) and checked against the node rows."""
+    geometry (extraction never guesses it) once there are n_theta x n_phi rows."""
     meta = {}
     rows = []
     header = None
@@ -209,22 +214,20 @@ def read_field_file(path) -> FieldFileData:
     duplicates = sorted({name for name in header if header.count(name) > 1})
     if duplicates:
         raise FormatError(f"{path}: header names column {', '.join(duplicates)} more than once")
-    for key in ("radius_m", "frequency_hz", "grid_l_max"):
+    for key in ("radius_m", "frequency_hz", "grid_l_max", "n_theta", "n_phi"):
         if key not in meta:
             raise FormatError(f"{path}: preamble key {key} missing")
     radius = float(meta["radius_m"])
     frequency = float(meta["frequency_hz"])
-    grid_l_max = int(meta["grid_l_max"])
-    n_theta = int(meta["n_theta"]) if "n_theta" in meta else None
-    n_phi = int(meta["n_phi"]) if "n_phi" in meta else None
+    require_positive("frequency", frequency)
+    grid_l_max, n_theta, n_phi = (int(meta[key]) for key in ("grid_l_max", "n_theta", "n_phi"))
+    if len(rows) != n_theta * n_phi:  # before make_grid allocates the declared grid
+        raise FormatError(f"{path}: {len(rows)} node rows for a declared {n_theta} x {n_phi} grid")
     k = float(meta["k_rad_per_m"]) if "k_rad_per_m" in meta else (
         2.0 * np.pi * frequency / SPEED_OF_LIGHT)
     z0 = float(meta["Z0_ohm"]) if "Z0_ohm" in meta else None
     medium = Medium(k=k) if z0 is None else Medium(k=k, z0=z0)
     grid = make_grid(grid_l_max, radius, n_theta=n_theta, n_phi=n_phi)
-    if len(rows) != grid.n_nodes:
-        raise FormatError(
-            f"{path}: {len(rows)} node rows for a declared {grid.n_theta} x {grid.n_phi} grid")
     ncol = len(header)
     bad_widths = set(map(len, rows)) - {ncol}
     if bad_widths:

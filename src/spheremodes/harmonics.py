@@ -6,12 +6,16 @@ The transverse harmonics used throughout are
     X_lm = (1/sqrt(l(l+1))) (1/i) (-dY/dtheta phi^ + (1/sin theta) dY/dphi theta^)
     Z_lm = r^ x X_lm
 
-and Y_lm r^ is the radial one. Projections are plain quadrature sums
-Sum_i w_i conj(V(theta_i, phi_i)) . F_i, one dot product (per 8192-node
-block) for each pair of table row and weighted sample column w F: each
-entry's bits depend only on that row and that column, not on how many modes
-are batched, on the samples' memory layout, on which other columns exist, or
-on the BLAS thread count.
+and Y_lm r^ is the radial one. Each is a theta profile times e^{i m phi}, and
+synthesis, projection and the far field use three kinds of dot product
+(np.vecdot) of two contiguous rows: the phi step (n_phi terms), a phase row
+with one polar node's weighted samples; the theta step (n_theta), a mode's
+profile with its order's phi-step results; the degree step (3 l_max,
+order_sums), an order's weights with one polar angle's profiles. Each
+entry's bits depend only on its two rows, not on batching, sample layout or
+other columns; and OpenBLAS splits only dot products of more than 10 000
+terms across threads, so they do not depend on the BLAS thread count while
+n_theta, n_phi, 3 l_max <= 10 000.
 """
 
 from __future__ import annotations
@@ -29,11 +33,6 @@ PROJECTION_KINDS = ("X", "Z", "Yr")
 
 class GridResolutionWarning(UserWarning):
     """A quadrature grid's declared exactness is below what an operation needs."""
-
-
-# OpenBLAS splits a dot product longer than 10 000 elements across its threads,
-# which makes its bits depend on the thread count; shorter blocks never split.
-DOT_BLOCK = 8192
 
 
 def require_positive(name: str, value: float) -> None:
@@ -56,6 +55,12 @@ def mode_degrees(l_max: int) -> np.ndarray:
     """Degree l of every mode slot up to l_max, in storage order."""
     ls = np.arange(1, l_max + 1)
     return np.repeat(ls, 2 * ls + 1)
+
+
+def mode_orders(l_max: int) -> np.ndarray:
+    """Order m of every mode slot up to l_max, in storage order."""
+    l = mode_degrees(l_max)
+    return np.arange(len(l)) - l * l - l + 1
 
 
 def fixed_order_sum(values: np.ndarray):
@@ -94,7 +99,7 @@ class SphereGrid:
         return self.n_theta * self.n_phi
 
     def with_radius(self, r0: float) -> "SphereGrid":
-        """Same angular nodes, weights and basis table on a sphere of a different radius."""
+        """Same angular nodes, weights and basis on a sphere of a different radius."""
         require_positive("radius", r0)
         return SphereGrid(r0, self.l_max, self.n_theta, self.n_phi,
                           self.theta_nodes, self.phi_nodes,
@@ -104,49 +109,31 @@ class SphereGrid:
         return (self.n_theta == other.n_theta and self.n_phi == other.n_phi
                 and self.r0 == other.r0 and self.l_max == other.l_max)
 
-    def basis_table(self, l_max: int):
-        """(Y, X_theta, X_phi) at the nodes, each (modes, n_nodes) in mode_slot
-        order for at least every degree up to l_max. Z is (-X_phi, X_theta)
-        and is not stored; projections weight the sample column, not the table.
+    def basis(self, l_max: int):
+        """(theta_profiles, phase_rows) of degree l_max at the nodes: views of
+        one cache per angular grid, shared by every radius and grown to the
+        largest degree asked for (which may differ from the grid's l_max)."""
+        cached = self._basis_cache.get("basis")
+        if cached is None or len(cached[1]) < 2 * l_max + 1:
+            cached = (theta_profiles(l_max, self.theta_nodes), phase_rows(l_max, self.phi_nodes))
+            for rows in cached:  # every grid at every radius shares these rows
+                rows.flags.writeable = False
+            self._basis_cache["basis"] = cached
+        profiles, phases = cached
+        centre = len(phases) // 2
+        return profiles[:mode_count(l_max)], phases[centre - l_max:centre + l_max + 1]
 
-        One table per angular grid, shared by every radius; it grows to the
-        largest degree asked for, which may differ from the grid's l_max.
-        """
-        table = self._basis_cache.get("table")
-        if table is not None and table[0].shape[0] >= mode_count(l_max):
-            return table
-        self._basis_cache.clear()
-        # each row is a theta profile times e^{i m phi}: collect the profiles of
-        # Y, X_theta, X_phi and each row's phase, then form each array as one
-        # broadcast product
-        n_modes = mode_count(l_max)
-        profiles = (np.empty((n_modes, self.n_theta)), np.empty((n_modes, self.n_theta)),
-                    np.empty((n_modes, self.n_theta), complex))
-        phases = np.empty((n_modes, self.n_phi), complex)
-        for m, n, tau, pi_ in legendre_theta_orders(l_max, self.theta_nodes):
-            ls = np.arange(max(abs(m), 1), l_max + 1)
-            slots = mode_slot(ls, m)
-            for rows, profile in zip(profiles, (n, *_transverse(ls[:, None], tau, pi_))):
-                rows[slots] = profile
-            phases[slots] = np.exp(1j * m * self.phi_nodes)
-        table = tuple((profile[:, :, None] * phases[:, None, :]).reshape(n_modes, self.n_nodes)
-                      for profile in profiles)
-        for rows in table:  # every grid at every radius shares these rows
-            rows.flags.writeable = False
-        self._basis_cache["table"] = table
-        return table
+    def projection_kernel(self, mode: ModeIndex):
+        """(Y, X_theta, X_phi) of one mode at the nodes, built per call as its
+        theta profiles times its e^{i m phi} row."""
+        profiles, phases = self.basis(mode.l)
+        return tuple(np.outer(profile, phases[mode.l + mode.m]).ravel()
+                     for profile in profiles[mode_slot(mode.l, mode.m)])
 
     def mode_basis(self, mode: ModeIndex):
         """Per-node arrays (Y, X_theta, X_phi, Z_theta, Z_phi) for one mode."""
-        slot = mode_slot(mode.l, mode.m)
-        y, x_theta, x_phi = (rows[slot] for rows in self.basis_table(mode.l))
+        y, x_theta, x_phi = self.projection_kernel(mode)
         return y, x_theta, x_phi, -x_phi, x_theta
-
-    def projection_kernel(self, mode: ModeIndex):
-        """Table rows (Y, X_theta, X_phi) of one mode, the rows a projection
-        dots with the weighted sample columns."""
-        slot = mode_slot(mode.l, mode.m)
-        return tuple(rows[slot] for rows in self.basis_table(mode.l))
 
 
 def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
@@ -251,39 +238,64 @@ def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:
     return TangentialVector(-x.v_phi, x.v_theta)
 
 
-def _dot(rows, column):
-    """Sum_i conj(rows[..., i]) column[i]: per row, the in-order sum of one
-    dot product per DOT_BLOCK nodes. column must be a fresh contiguous array
-    (a strided operand would take another summation path and give other
-    bits); np.vecdot conjugates its first operand, so the rows go first."""
-    if len(column) <= DOT_BLOCK:  # the one-block case, without the slicing cost
-        return np.vecdot(rows, column)
-    total = np.vecdot(rows[..., :DOT_BLOCK], column[:DOT_BLOCK])
-    for lo in range(DOT_BLOCK, len(column), DOT_BLOCK):
-        total = total + np.vecdot(rows[..., lo:lo + DOT_BLOCK], column[lo:lo + DOT_BLOCK])
-    return total
+def theta_profiles(l_max: int, theta) -> np.ndarray:
+    """(modes, 3, len(theta)) theta profiles (n, pi/sqrt(l(l+1)),
+    i tau/sqrt(l(l+1))) of (Y, X_theta, X_phi) for every mode up to l_max, in
+    mode_slot order, at the 1-d polar angles theta; stored complex."""
+    kernel = np.empty((3, mode_count(l_max), len(theta)))  # (n, tau, pi) in mode_slot order
+    for m, n, tau, pi_ in legendre_theta_orders(l_max, theta):
+        kernel[:, mode_slot(np.arange(max(abs(m), 1), l_max + 1), m)] = n, tau, pi_
+    n, tau, pi_ = kernel
+    return np.stack([n, *_transverse(mode_degrees(l_max)[:, None], tau, pi_)], axis=1)
 
 
-def _project(samples: FieldSamples, kind: str, l: int, kernel):
-    """Quadrature sum of conj(V) . w F for the kernel rows (Y, X_theta, X_phi):
-    one mode, or a stack of modes up to degree l. project and project_all
-    both reduce here, each row against only the columns the kind reads, each
-    column weighted into a fresh contiguous array."""
+def phase_rows(l_max: int, phi) -> np.ndarray:
+    """(2 l_max + 1, len(phi)) rows e^{i m phi}, m = -l_max..l_max."""
+    return np.exp(1j * np.arange(-l_max, l_max + 1)[:, None] * phi)
+
+
+def order_sums(weights, profiles, l_max: int) -> np.ndarray:
+    """(..., len(theta), 2 l_max + 1): entry [..., t, m + l_max] is
+    Sum_{l, j} weights[..., j, slot(l, m)] profiles[slot(l, m), j, t] for
+    weights (..., 3, modes) and profiles theta_profiles(>= l_max, theta), one
+    dot product over the order's (l_max, 3) terms, zero-weighted for l < |m|."""
+    m, l = np.arange(-l_max, l_max + 1)[:, None], np.arange(1, l_max + 1)
+    live = l >= np.abs(m)
+    slots = np.where(live, mode_slot(l, m), 0)  # (orders, l_max); dead ones read slot 0
+    shape = (len(slots), 3 * l_max)  # each order's (l, j) terms in one contiguous row
+    rows = np.take(profiles.transpose(2, 0, 1), slots, axis=1).reshape(profiles.shape[2], *shape)
+    w = np.conj(np.moveaxis(np.where(live, weights[..., slots], 0), -3, -1))
+    return np.vecdot(w.reshape(*w.shape[:-3], 1, *shape), rows)
+
+
+def _project(samples: FieldSamples, kind: str, l: int, mode: Optional[ModeIndex] = None):
+    """Quadrature sum of conj(V) . w F for one mode, or for every mode up to
+    degree l (mode None) in mode_slot order, reading only the columns the kind
+    reads, weighted into a fresh contiguous array: a phi step, then a theta step."""
     if kind not in PROJECTION_KINDS:
         raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
-    if l > samples.grid.l_max:
+    grid = samples.grid
+    if l > grid.l_max:
         warnings.warn(
             f"projection of degree l={l} on a grid declared exact only to "
-            f"l_max={samples.grid.l_max}; the quadrature may alias",
+            f"l_max={grid.l_max}; the quadrature may alias",
             GridResolutionWarning, stacklevel=3)
-    y, x_theta, x_phi = kernel
-    values, w = samples.values, samples.grid.weights
+    profiles, phases = grid.basis(l)
+    parts = slice(0, 1) if kind == "Yr" else slice(1, 3)
+    f = np.multiply(samples.values[:, parts].T, grid.weights, order="C").reshape(
+        -1, grid.n_theta, grid.n_phi)
+    if mode is None:
+        rows = profiles[:, parts]
+        g = np.vecdot(phases[:, None, None], f)[mode_orders(l) + l]
+    else:
+        rows = profiles[mode_slot(mode.l, mode.m), parts]
+        g = np.vecdot(phases[l + mode.m], f)
+    if kind == "Z":  # Z = (-X_phi, X_theta): X's profiles against the swapped columns
+        g = g[..., ::-1, :]
+    t = np.vecdot(rows, g).T
     if kind == "Yr":
-        return _dot(y, w * values[:, 0])
-    f_theta, f_phi = w * values[:, 1], w * values[:, 2]
-    if kind == "X":
-        return _dot(x_theta, f_theta) + _dot(x_phi, f_phi)
-    return _dot(x_theta, f_phi) - _dot(x_phi, f_theta)  # Z = (-X_phi, X_theta)
+        return t[0]
+    return t[0] + t[1] if kind == "X" else t[0] - t[1]
 
 
 def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
@@ -294,12 +306,10 @@ def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
     and 'Z' the tangential columns alone. Warns (GridResolutionWarning) when
     the mode degree exceeds the grid's declared exactness.
     """
-    return complex(_project(samples, kind, mode.l, samples.grid.projection_kernel(mode)))
+    return complex(_project(samples, kind, mode.l, mode))
 
 
 def project_all(samples: FieldSamples, kind: str, l_max: int) -> np.ndarray:
     """project() for every mode with l <= l_max at once, in mode_slot order;
     each entry equals the single-mode result bit for bit."""
-    n = mode_count(l_max)
-    kernel = tuple(rows[:n] for rows in samples.grid.basis_table(l_max))
-    return _project(samples, kind, l_max, kernel)
+    return _project(samples, kind, l_max)

@@ -24,9 +24,9 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .harmonics import (FieldSamples, GridResolutionWarning, SphereGrid,
-                        fixed_order_sum, mode_count, mode_degrees, mode_slot,
-                        require_positive)
-from .specfun import ModeIndex, legendre_theta_orders, radial_factors
+                        fixed_order_sum, mode_count, mode_degrees, mode_slot, order_sums,
+                        phase_rows, require_positive, theta_profiles)
+from .specfun import ModeIndex, radial_factors
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 VACUUM_IMPEDANCE = 376.730313668  # ohm
@@ -163,22 +163,24 @@ def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     grid_at = grid if r == grid.r0 else grid.with_radius(r)
     med = coeffs.medium
     x = med.k * r
-    n = mode_count(coeffs.l_max)
-    y, x_theta, x_phi = (rows[:n] for rows in grid_at.basis_table(coeffs.l_max))
-    h, d = radial_factors(coeffs.l_max, x)
-    l = mode_degrees(coeffs.l_max)
+    l_max = coeffs.l_max
+    profiles, phases = grid_at.basis(l_max)
+    h, d = radial_factors(l_max, x)
+    l = mode_degrees(l_max)
     f_x = h[l - 1]
     f_rad = np.sqrt(l * (l + 1.0)) * f_x / x
     f_z = 1j * d[l - 1] / x
     a_e, a_m = coeffs.a_e, coeffs.a_m
-    radial = np.stack([a_e * f_rad, -a_m * f_rad]) @ y
-    # per-mode weights of X and Z in E / Z0 and in H; Z = (-X_phi, X_theta)
-    weights = np.stack([a_m * f_x, a_e * f_z, a_e * f_x, -a_m * f_z])
-    on_theta = weights @ x_theta
-    on_phi = weights @ x_phi
-    e = med.z0 * np.column_stack([radial[0], on_theta[0] - on_phi[1], on_phi[0] + on_theta[1]])
-    hfield = np.column_stack([radial[1], on_theta[2] - on_phi[3], on_phi[2] + on_theta[3]])
-    return (FieldSamples(grid_at, "E", e, med), FieldSamples(grid_at, "H", hfield, med))
+    # per mode E = u X + v Z + s Y r^ and H = p X + q Z + t Y r^, Z = (-X_phi, X_theta):
+    # weights of (Y, X_theta, X_phi) in the (r, theta, phi) components of E and H
+    u, v, s = med.z0 * a_m * f_x, med.z0 * a_e * f_z, med.z0 * a_e * f_rad
+    p, q, t = a_e * f_x, -a_m * f_z, -a_m * f_rad
+    zero = np.zeros_like(u)
+    weights = np.array([[[s, zero, zero], [zero, u, -v], [zero, v, u]],
+                        [[t, zero, zero], [zero, p, -q], [zero, q, p]]])
+    sums = order_sums(weights, profiles, l_max)  # (E/H, r/theta/phi, theta node, order)
+    fields = np.matmul(phases.T, sums.transpose(0, 2, 3, 1)).reshape(2, grid_at.n_nodes, 3)
+    return (FieldSamples(grid_at, "E", fields[0], med), FieldSamples(grid_at, "H", fields[1], med))
 
 
 def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
@@ -192,14 +194,10 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
     identically. The asymptotic constant is pinned by the large-radius
     synthesis test rather than taken on faith.
 
-    Each order's terms are a theta profile times e^{i m phi}, so the Legendre
-    recurrence runs on the distinct polar angles only, each order's degrees
-    are reduced to two profiles per distinct angle (one dot product each),
-    and the directions gather them and add the orders in a fixed order: the
-    cost is O(n_theta l_max^2 + n_directions l_max) for n_theta distinct
-    polar angles. Each direction's bits depend only on its own (theta, phi)
-    bits, not on which other directions are requested. Directions must be
-    finite; an empty (0, 2) array gives an empty pattern.
+    As in synthesis, order_sums reduces each order's degrees on the distinct
+    polar angles only; then one dot product per direction over the orders
+    with its e^{i m phi} row, so each direction's bits depend only on its own
+    (theta, phi). Directions must be finite; (0, 2) gives an empty pattern.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.ndim != 2 or directions.shape[1] != 2:
@@ -212,22 +210,17 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
         for angles in directions.T)
     theta, phi = theta.view(float), phi.view(float)
     med = coeffs.medium
-    l = mode_degrees(coeffs.l_max)
-    scale = med.z0 * np.array([1, -1j, -1, 1j])[(l + 1) % 4] / np.sqrt(l * (l + 1.0))
-    u, v = scale * coeffs.a_m, scale * coeffs.a_e  # Z0 (-i)^{l+1} a / sqrt(l(l+1))
-    # a_M X - a_E Z with X = (pi, i tau) / sqrt(l(l+1)) e^{i m phi}, Z = (-X_phi, X_theta):
-    # E_theta = sum u pi + i v tau, E_phi = sum -v pi + i u tau, per mode slot
-    weights = np.array([[u, 1j * v], [-v, 1j * u]])
-    e_theta = np.zeros(directions.shape[0], complex)
-    e_phi = np.zeros(directions.shape[0], complex)
-    for m, _, tau, pi_ in legendre_theta_orders(coeffs.l_max, theta):
-        slots = mode_slot(np.arange(max(abs(m), 1), coeffs.l_max + 1), m)
-        # one contiguous (pi | tau) row per distinct theta, reduced over degree
-        rows = np.hstack([pi_.T, tau.T])
-        g_theta, g_phi = np.vecdot(rows, weights[:, None, :, slots].reshape(2, 1, -1))
-        phase = np.exp(1j * m * phi)[phi_at]
-        e_theta += g_theta[theta_at] * phase
-        e_phi += g_phi[theta_at] * phase
+    l_max = coeffs.l_max
+    l = mode_degrees(l_max)
+    scale = med.z0 * np.array([1, -1j, -1, 1j])[(l + 1) % 4]
+    u, v = scale * coeffs.a_m, scale * coeffs.a_e  # Z0 (-i)^{l+1} a
+    # u X - v Z with Z = (-X_phi, X_theta), in (E_theta, E_phi)
+    zero = np.zeros_like(u)
+    sums = order_sums(np.array([[zero, u, v], [zero, -v, u]]),
+                      theta_profiles(l_max, theta), l_max)
+    # vecdot conjugates its first operand: these rows are conj(e^{i m phi})
+    phases = np.take(np.conj(phase_rows(l_max, phi)).T, phi_at, axis=0)
+    e_theta, e_phi = np.vecdot(phases, np.take(sums, theta_at, axis=1))
     return FarFieldPattern(directions, e_theta, e_phi, med.z0)
 
 

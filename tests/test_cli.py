@@ -74,6 +74,16 @@ class TestSynth:
         assert main(["synth", str(tmp_path / "nope.json"), "--radius", "1.0",
                      "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
 
+    def test_directory_paths_are_input_errors(self, coeff_file, tmp_path, capsys):
+        path, _ = coeff_file
+        assert main(["synth", str(path), "--radius", "1.0", "--out", str(tmp_path)]) \
+            == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["synth", str(tmp_path), "--radius", "1.0",
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "f.csv").exists()
+
     def test_rejects_malformed_mode_row(self, coeff_file, tmp_path, capsys):
         path, _ = coeff_file
         doc = json.loads(path.read_text())

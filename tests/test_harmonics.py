@@ -15,7 +15,7 @@ from spheremodes import CoefficientSet, Medium, radiated_power, synthesize
 from spheremodes.harmonics import (PROJECTION_KINDS, FieldSamples, GridResolutionWarning,
                                    fixed_order_sum, make_grid, mode_count, project,
                                    project_all, vec_X, vec_Z)
-from spheremodes.specfun import ModeIndex
+from spheremodes.specfun import ModeIndex, sph_harmonic
 
 FOUR_PI = 4.0 * np.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,8 +237,8 @@ class TestFieldSamples:
 
 
 class TestBasisTable:
-    """One (modes x nodes) basis table per angular grid, shared by project and
-    project_all."""
+    """One basis of theta profiles and e^{i m phi} rows per angular grid,
+    shared by project and project_all."""
 
     @staticmethod
     def _random_samples(grid, seed):
@@ -255,9 +255,11 @@ class TestBasisTable:
             single = [project(samples, kind, ModeIndex(l, m))
                       for l in range(1, l_max + 1) for m in range(-l, l + 1)]
             assert np.array_equal(batched, np.array(single))
-            # against the integrand summed by numpy
-            y, xt, xp = (np.conj(rows[:mode_count(l_max)]) * grid.weights
-                         for rows in grid.basis_table(l_max))
+            # against the integrand summed by numpy over the per-mode node rows
+            rows = [grid.mode_basis(ModeIndex(l, m))
+                    for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+            y, xt, xp = (np.conj(np.array([row[i] for row in rows])) * grid.weights
+                         for i in range(3))
             f_r, f_theta, f_phi = samples.values.T
             integrand = {"Yr": y * f_r, "X": xt * f_theta + xp * f_phi,
                          "Z": xt * f_phi - xp * f_theta}[kind]
@@ -267,7 +269,7 @@ class TestBasisTable:
         grid = make_grid(6, 1.0)
         samples = self._random_samples(grid, 1)
         small = project_all(samples, "X", 2)
-        assert grid.basis_table(1)[0].shape[0] == mode_count(2)
+        assert grid._basis_cache["basis"][0].shape[0] == mode_count(2)
         for kind in PROJECTION_KINDS:
             batched = project_all(samples, kind, 6)
             single = [project(samples, kind, ModeIndex(l, m))
@@ -295,7 +297,7 @@ class TestBasisTable:
     def test_leading_rows_of_a_grown_table(self):
         grid = make_grid(8, 1.0)
         samples = self._random_samples(grid, 2)
-        grid.basis_table(8)
+        grid.basis(8)
         for kind in PROJECTION_KINDS:
             full = project_all(samples, kind, 8)
             for l in (1, 2, 5, 7):
@@ -321,16 +323,19 @@ class TestBasisTable:
             runs.append(run.stdout)
         assert runs[0] == runs[1]
 
-    def test_table_rows_and_memory_bound(self):
-        grid = make_grid(24, 0.7)
-        synthesize(CoefficientSet.zeros(4, Medium(k=2.0)), 0.7, grid)
-        table = grid.basis_table(1)
-        n_modes = mode_count(4)
-        assert n_modes == 24
-        assert len(table) == 3
-        assert all(rows.shape == (n_modes, grid.n_nodes) for rows in table)
-        held = sum(rows.nbytes for entry in grid._basis_cache.values() for rows in entry)
-        assert held == 3 * n_modes * grid.n_nodes * 16
+    def test_basis_memory_bound(self):
+        # theta profiles and phase rows only, grown to the degree synthesized:
+        # 16 (3 n_modes n_theta + n_orders n_phi) bytes, 3.4 MB at l_max 40
+        for grid_l_max, l_max in ((24, 4), (40, 40)):
+            grid = make_grid(grid_l_max, 0.7)
+            synthesize(CoefficientSet.zeros(l_max, Medium(k=2.0)), 0.7, grid)
+            profiles, phases = grid._basis_cache["basis"]
+            n_modes, n_orders = mode_count(l_max), 2 * l_max + 1
+            assert profiles.shape == (n_modes, 3, grid.n_theta)
+            assert phases.shape == (n_orders, grid.n_phi)
+            held = sum(rows.nbytes for entry in grid._basis_cache.values() for rows in entry)
+            assert held == 16 * (3 * n_modes * grid.n_theta + n_orders * grid.n_phi)
+        assert held < 3.5e6
 
     def test_other_radius_builds_nothing_new(self):
         grid = make_grid(5, 1.0)
@@ -346,10 +351,10 @@ class TestBasisTable:
         grid = make_grid(4, 1.0)
         mode = ModeIndex(3, -2)
         y, xt, xp, zt, zp = grid.mode_basis(mode)
-        table = grid.basis_table(4)
-        slot = mode_count(2) + 1
-        assert np.array_equal(y, table[0][slot]) and np.array_equal(xt, table[1][slot])
+        kernel = grid.projection_kernel(mode)
+        assert all(np.array_equal(got, want) for got, want in zip((y, xt, xp), kernel))
         assert np.array_equal(zt, -xp) and np.array_equal(zp, xt)
+        assert np.allclose(sph_harmonic(3, -2, grid.theta, grid.phi), y, rtol=0.0, atol=1e-15)
         got = vec_X(mode, grid.theta, grid.phi)
         assert np.allclose(got.v_theta, xt, rtol=0.0, atol=1e-15)
         assert np.allclose(got.v_phi, xp, rtol=0.0, atol=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_coefficients
-from spheremodes import FieldSamples, Medium, make_grid, synthesize
+from spheremodes import FieldSamples, Medium, fileio, make_grid, synthesize
 from spheremodes.fileio import (FormatError, read_coefficients, read_field_file,
                                 write_coefficients, write_field_file, write_pattern_csv)
 
@@ -127,6 +127,42 @@ class TestCoefficientFile:
         with pytest.raises(FormatError, match=r"c\.json: modes must be a list"):
             read_coefficients(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(l_max=1.9),
+        lambda doc: doc["modes"][3].update(m=-1.7),
+        lambda doc: doc["modes"][3].update(aE=[1, 2, 3]),
+    ], ids=["fractional l_max", "fractional m", "three parts"])
+    def test_rejects_non_integers_and_extra_parts(self, tmp_path, medium, edit):
+        c = random_coefficients(2, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"c\.json: .*(integer|\[re, im\])"):
+            read_coefficients(path)
+
+    def test_huge_declared_degree_is_rejected_before_allocating(self, tmp_path, medium):
+        # 10^14 modes would be 1.42 PiB of coefficients; the 8 rows present name the gap
+        c = random_coefficients(2, medium, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        write_coefficients(path, c, 1.0)
+        doc = json.loads(path.read_text())
+        doc["l_max"] = 10_000_000
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"mode \(l=3, m=-3\) missing"):
+            read_coefficients(path)
+
+    @pytest.mark.parametrize("frequency", [-5.0, 0.0, float("nan")])
+    def test_rejects_frequency_not_finite_and_positive(self, tmp_path, medium, frequency):
+        path = tmp_path / "c.json"
+        write_coefficients(path, random_coefficients(2, medium, np.random.default_rng(0)), 1.0)
+        doc = json.loads(path.read_text())
+        doc["frequency_hz"] = frequency
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="frequency must be finite and > 0"):
+            read_coefficients(path)
+
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")
@@ -204,6 +240,39 @@ class TestFieldFile:
                          if not l.startswith("# radius_m"))
         path.write_text(body + "\n")
         with pytest.raises(FormatError):
+            read_field_file(path)
+
+    def test_rejects_row_count_before_building_the_declared_grid(self, tmp_path, medium, rng,
+                                                                  monkeypatch):
+        e, h = synthesize(random_coefficients(2, medium, rng), 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        path.write_text(path.read_text().replace("# n_phi=6", "# n_phi=6000000"))
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("make_grid called before the row count was checked")
+        monkeypatch.setattr(fileio, "make_grid", no_grid)
+        with pytest.raises(FormatError, match="18 node rows for a declared 3 x 6000000 grid"):
+            read_field_file(path)
+
+    @pytest.mark.parametrize("frequency", ["-5.0", "0", "nan"])
+    def test_rejects_frequency_not_finite_and_positive(self, tmp_path, medium, rng, frequency):
+        e, h = synthesize(random_coefficients(2, medium, rng), 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        path.write_text(path.read_text().replace("# frequency_hz=300000000",
+                                                 f"# frequency_hz={frequency}"))
+        with pytest.raises(ValueError, match="frequency must be finite and > 0"):
+            read_field_file(path)
+
+    @pytest.mark.parametrize("key", ["n_theta", "n_phi"])
+    def test_rejects_undeclared_grid_shape(self, tmp_path, medium, rng, key):
+        e, h = synthesize(random_coefficients(2, medium, rng), 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        path.write_text("\n".join(line for line in path.read_text().splitlines()
+                                  if not line.startswith(f"# {key}=")) + "\n")
+        with pytest.raises(FormatError, match=f"preamble key {key} missing"):
             read_field_file(path)
 
     def test_rejects_row_count_mismatch(self, tmp_path, medium, rng):

@@ -315,9 +315,9 @@ class TestSeparableFarField:
 
 
 def per_order_table(grid, l_max):
-    """The basis table filled one Legendre order at a time, each order's rows
-    formed on the full node grid: the construction the one-pass build must
-    reproduce bit for bit."""
+    """Every mode's (Y, X_theta, X_phi) rows on the full node grid, filled one
+    Legendre order at a time: the construction mode_basis must reproduce bit
+    for bit."""
     table = tuple(np.empty((mode_count(l_max), grid.n_nodes), complex) for _ in range(3))
     for m, n, tau, pi_ in legendre_theta_orders(l_max, grid.theta_nodes[:, None]):
         ls = np.arange(max(abs(m), 1), l_max + 1)
@@ -332,12 +332,14 @@ def per_order_table(grid, l_max):
 @pytest.mark.parametrize("l_max,grid_args", [(12, (12, 1.0)), (16, (16, 1.0)),
                                              (12, (16, 2.0, 20, 35))])
 def test_basis_table_rows_match_per_order_build(l_max, grid_args):
-    table = make_grid(*grid_args).basis_table(l_max)
+    # modes in storage order, so the grid's basis grows degree by degree
+    grid = make_grid(*grid_args)
     want = per_order_table(make_grid(*grid_args), l_max)
-    assert len(table) == len(want)
-    for got, ref in zip(table, want):
-        assert got.shape == ref.shape
-        assert np.array_equal(bits(got), bits(ref))
+    for mode in modes_upto(l_max):
+        got = grid.mode_basis(mode)[:3]
+        assert len(got) == len(want)
+        for rows, ref in zip(got, want):
+            assert np.array_equal(bits(rows), bits(ref[mode_slot(mode.l, mode.m)]))
 
 
 class TestDuality:
