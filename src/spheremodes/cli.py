@@ -10,6 +10,7 @@ diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -67,28 +68,31 @@ _ROUTES = {
 }
 
 
-def _checked_field_data(path, required):
+def _checked_field_data(path, required, lmax):
+    """The field file's data and truncation degree: --lmax, which must not
+    exceed the file's grid_l_max (a higher degree aliases, and could ask for a
+    basis far larger than the file), or grid_l_max itself."""
     data = read_field_file(path)
     missing = data.missing(required)
     if missing:
         raise InputError(
             f"{path}: required components absent: {', '.join(missing)} "
             f"(this route reads {', '.join(required)})")
-    return data
+    if lmax is not None and lmax > data.grid.l_max:
+        raise InputError(f"--lmax {lmax} exceeds the field file's grid_l_max {data.grid.l_max}")
+    return data, data.grid.l_max if lmax is None else lmax
 
 
 def cmd_extract(args) -> int:
     extract, required = _ROUTES[args.route]
-    data = _checked_field_data(args.field_file, required)
-    l_max = args.lmax if args.lmax is not None else data.grid.l_max
+    data, l_max = _checked_field_data(args.field_file, required, args.lmax)
     coeffs = extract(data, l_max)
     write_coefficients(args.out, coeffs, data.frequency_hz)
     return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
-    data = _checked_field_data(args.field_file, FIELD_COLUMNS)
-    l_max = args.lmax if args.lmax is not None else data.grid.l_max
+    data, l_max = _checked_field_data(args.field_file, FIELD_COLUMNS, args.lmax)
     result = equivalence_report(data.samples("E"), data.samples("H"), l_max)
     routes = ((ROUTE_RADIAL, result.radial), (ROUTE_TAN_E, result.tangential_e),
               (ROUTE_TAN_H, result.tangential_h))
@@ -155,6 +159,7 @@ def cmd_dipole(args) -> int:
     return EXIT_OK if result.rms_deviation <= args.tol else EXIT_TOLERANCE
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spheremodes",
@@ -174,13 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("field_file")
     p.add_argument("--route", choices=sorted(_ROUTES), required=True)
     p.add_argument("--lmax", type=int, default=None,
-                   help="truncation degree (default: the file's grid l_max)")
+                   help="truncation degree, at most the file's grid l_max (the default)")
     p.add_argument("--out", required=True, help="output coefficient JSON")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("equiv", help="run all three routes and compare them")
     p.add_argument("field_file")
-    p.add_argument("--lmax", type=int, default=None)
+    p.add_argument("--lmax", type=int, default=None,
+                   help="truncation degree, at most the file's grid l_max (the default)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="max allowed pairwise deviation (default 1e-8)")
     p.set_defaults(func=cmd_equiv)

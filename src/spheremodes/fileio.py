@@ -86,8 +86,9 @@ def read_coefficients(path):
     for index, row in enumerate(modes):
         try:
             l, m, a_e_lm, a_m_lm = row["l"], row["m"], row["aE"], row["aM"]
-            if not (type(l) is type(m) is int and len(a_e_lm) == len(a_m_lm) == 2):
-                raise TypeError("l and m must be integers, aE and aM [re, im] pairs")
+            if not (type(l) is type(m) is int and len(a_e_lm) == len(a_m_lm) == 2
+                    and bool not in map(type, (*a_e_lm, *a_m_lm))):
+                raise TypeError("l and m must be integers, aE and aM [re, im] number pairs")
             a_lm = complex(*a_e_lm), complex(*a_m_lm)
         except (KeyError, OverflowError, TypeError) as exc:
             raise FormatError(f"{path}: mode row {index} missing or malformed "

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import ModeIndex, legendre_theta_kernel, legendre_theta_orders
+from .specfun import ModeIndex, legendre_theta_kernel, legendre_theta_modes
 
 PROJECTION_KINDS = ("X", "Z", "Yr")
 
@@ -242,11 +242,9 @@ def theta_profiles(l_max: int, theta) -> np.ndarray:
     """(modes, 3, len(theta)) theta profiles (n, pi/sqrt(l(l+1)),
     i tau/sqrt(l(l+1))) of (Y, X_theta, X_phi) for every mode up to l_max, in
     mode_slot order, at the 1-d polar angles theta; stored complex."""
-    kernel = np.empty((3, mode_count(l_max), len(theta)))  # (n, tau, pi) in mode_slot order
-    for m, n, tau, pi_ in legendre_theta_orders(l_max, theta):
-        kernel[:, mode_slot(np.arange(max(abs(m), 1), l_max + 1), m)] = n, tau, pi_
-    n, tau, pi_ = kernel
-    return np.stack([n, *_transverse(mode_degrees(l_max)[:, None], tau, pi_)], axis=1)
+    l = mode_degrees(l_max)
+    n, tau, pi_ = legendre_theta_modes(theta, l, mode_orders(l_max))
+    return np.stack([n, *_transverse(l[:, None], tau, pi_)], axis=1)
 
 
 def phase_rows(l_max: int, phi) -> np.ndarray:

@@ -5,14 +5,15 @@ Conventions (fixed for the whole package):
   * time dependence e^{-i omega t}, so h_l^(1) is the outgoing radial factor;
   * Condon-Shortley phase (-1)^m folded *into* the Legendre functions;
   * full normalization sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) folded into the
-    recurrence itself, so degrees up to l ~ 64 never touch a factorial.
+    recurrence itself, so degrees up to l ~ 64 never touch a factorial;
+  * one Legendre table (_scaled_legendre_table) stepped by degree for all
+    orders at once, read by every Legendre function here.
 
 All functions are pure and accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,77 +40,57 @@ class ModeIndex:
             raise ValueError(f"mode order must satisfy |m| <= l, got (l={self.l}, m={self.m})")
 
 
-def _legendre_columns(l_max: int, x):
-    """For m = 0, 1, 2, ...: q_lm(x) for l = m..l_max stacked along a new
-    leading axis (no rows once m > l_max).
+def _scaled_legendre_table(l_max: int, m_max: int, x):
+    """q[l, m] = (normalized P_l^m(x)) / (1-x^2)^{m/2} for l <= l_max and
+    m <= m_max, shaped (l_max + 1, m_max + 1) + x.shape, zero where m > l.
 
-    q_lm(x) = (normalized P_l^m(x)) / (1-x^2)^{m/2} is finite at the poles:
-    the sin^m(theta) factor is divided out symbolically so callers can
-    reapply exactly the power they need (this is what keeps 1/sin(theta)
-    terms of the vector harmonics pole-safe). The fully normalized
-    recurrences run upward in order for the seed q_mm, then upward in degree.
+    Dividing out sin^m(theta) keeps q finite at the poles, so callers reapply
+    exactly the power they need (no 1/sin(theta) anywhere). The sectoral seeds
+    q_mm are one cumulative product; then one fully normalized three-term step
+    per degree advances every order at once: O(l_max) Python-level steps.
     """
-    q = np.full_like(x, 1.0 / np.sqrt(FOUR_PI))
-    for m in itertools.count():
-        if m:
-            q = q * (-np.sqrt((2.0 * m + 1.0) / (2.0 * m)))
-        out = np.empty((max(l_max - m + 1, 0),) + x.shape)
-        out[:1] = q
-        out[1:2] = np.sqrt(2.0 * m + 3.0) * x * q
-        for ll in range(m + 2, l_max + 1):
-            a = np.sqrt((2.0 * ll + 1.0) * (2.0 * ll - 1.0) / ((ll - m) * (ll + m)))
-            b = np.sqrt((2.0 * ll + 1.0) * (ll - 1.0 - m) * (ll - 1.0 + m)
-                        / ((2.0 * ll - 3.0) * (ll - m) * (ll + m)))
-            out[ll - m] = a * x * out[ll - m - 1] - b * out[ll - m - 2]
-        yield out
-
-
-def _scaled_legendre(l: int, m: int, x):
-    """q_lm(x) of one degree and order (see _legendre_columns)."""
     x = np.asarray(x, dtype=float)
-    return next(itertools.islice(_legendre_columns(l, x), m, None))[-1]
+    q = np.zeros((l_max + 1, m_max + 1) + x.shape)
+    k = np.arange(1.0, min(l_max, m_max) + 1.0)
+    seeds = np.cumprod(np.r_[1.0 / np.sqrt(FOUR_PI), -np.sqrt((2.0 * k + 1.0) / (2.0 * k))])
+    q[np.diag_indices(len(seeds))] = seeds.reshape((-1,) + (1,) * x.ndim)
+    m = np.arange(m_max + 1.0).reshape((-1,) + (1,) * x.ndim)
+    l = np.arange(l_max + 1.0).reshape((-1, 1) + (1,) * x.ndim)
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= l - 1 go unused
+        a = np.sqrt((2.0 * l + 1.0) * (2.0 * l - 1.0) / ((l - m) * (l + m)))
+        b = np.sqrt((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
+                    / ((2.0 * l - 3.0) * (l - m) * (l + m)))
+    for ll in range(1, l_max + 1):  # slices past m_max are empty
+        q[ll, ll - 1:ll] = np.sqrt(2.0 * ll + 1.0) * x * q[ll - 1, ll - 1:ll]
+        q[ll, :ll - 1] = (a[ll, :ll - 1] * x * q[ll - 1, :ll - 1]
+                          - b[ll, :ll - 1] * q[ll - 2, :ll - 1])
+    return q
 
 
-def legendre_theta_orders(l_max: int, theta):
-    """Angular building blocks of the vector harmonics, one order at a time.
-
-    Yields (m, n, tau, pi) for m = 0, 1, -1, 2, -2, ..., l_max, -l_max. Each
-    array stacks the degrees l = max(|m|, 1)..l_max along a new leading axis;
-    the rest of its shape is theta's. Writing N_lm(theta) for the normalized
-    Legendre function at cos(theta):
-
-        n   = N_lm(theta)
-        tau = d N_lm / d theta
-        pi  = m N_lm / sin(theta)
-
-    tau uses the order-raising/lowering identity and pi the divided-out
-    sin^m factor, so both are exact at theta = 0 and pi (no 1/sin anywhere).
-    Each order's degree recurrence runs once, so all orders cost O(l_max^2)
-    vector steps. Negative orders follow from N_{l,-m} = (-1)^m N_lm.
+def legendre_theta_modes(theta, l, m):
+    """(n, tau, pi) = (N_lm, d N_lm / d theta, m N_lm / sin(theta)) of the vector
+    harmonics for the modes (l[i], m[i]), l >= 1, m of either sign, shaped
+    l.shape + theta.shape; N_lm(theta) is the normalized Legendre function at
+    cos(theta). tau uses the order-raising/lowering identity and pi the
+    divided-out sin^m factor, so both are exact at theta = 0 and pi. This is
+    the only place that applies N_{l,-m} = (-1)^m N_lm.
     """
-    theta = np.asarray(theta, dtype=float)
-    x = np.cos(theta)
-    s = np.sin(theta)
-    columns = _legendre_columns(l_max, x)
-    prev, cur = None, next(columns)
-    for m, nxt in zip(range(l_max + 1), columns):
-        lo = max(m, 1)
-        ls = np.arange(lo, l_max + 1).reshape((-1,) + (1,) * x.ndim)
-        q_m = cur[lo - m:]
-        n = s**m * q_m
-        pi_ = m * s ** (m - 1) * q_m if m >= 1 else np.zeros_like(n)
-        # d/dtheta via neighbors in order: 2 tau = A n_{l,m+1} - B n_{l,m-1}
-        n_up = np.zeros_like(n)
-        n_up[m + 1 - lo:] = s ** (m + 1) * nxt
-        n_dn = -s * nxt if m == 0 else s ** (m - 1) * prev[1:]
-        a = np.sqrt((ls - m) * (ls + m + 1.0))
-        b = np.sqrt((ls + m) * (ls - m + 1.0))
-        tau = 0.5 * (a * n_up - b * n_dn)
-        yield m, n, tau, pi_
-        if m:
-            sign = (-1) ** m
-            yield -m, sign * n, sign * tau, -sign * pi_
-        prev, cur = cur, nxt
+    theta, l, m = np.asarray(theta, dtype=float), np.asarray(l), np.asarray(m)
+    mu, below = np.abs(m), np.abs(np.abs(m) - 1)  # order m - 1 at m = 0 is -1: n_{l,-1} = -n_{l,1}
+    s, k = np.sin(theta), np.arange(mu.max() + 2)
+    powers = np.stack([s**j for j in k.tolist()])  # int powers; s**k can differ by an ulp
+    q = _scaled_legendre_table(l.max(), mu.max() + 1, np.cos(theta))
+    grow = (...,) + (None,) * theta.ndim
+    n_all = powers * q  # [l, m]: N_lm for m >= 0
+    pi_all = (k[grow] * powers[abs(k - 1)]) * q
+    pi_all[:, 0] = 0.0  # +0.0, where 0 * q would leave -0.0
+    # d/dtheta via neighbors in order: 2 tau = A n_{l,m+1} - B n_{l,m-1}
+    a = np.sqrt((l - mu) * (l + mu + 1.0))[grow]
+    b = np.sqrt((l + mu) * (l - mu + 1.0))[grow]
+    n_dn = np.where(m == 0, -1.0, 1.0)[grow] * n_all[l, below]
+    tau = 0.5 * (a * n_all[l, mu + 1] - b * n_dn)
+    sign = np.where((m < 0) & (mu % 2 == 1), -1.0, 1.0)[grow]
+    return sign * n_all[l, mu], sign * tau, (sign * np.sign(m)[grow]) * pi_all[l, mu]
 
 
 def assoc_legendre_norm(l: int, m: int, x):
@@ -127,7 +108,7 @@ def assoc_legendre_norm(l: int, m: int, x):
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument must lie in [-1, 1]")
     s = np.sqrt(1.0 - x * x)
-    out = s**m * _scaled_legendre(l, m, x)
+    out = s**m * _scaled_legendre_table(l, m, x)[l, m]
     return out if out.ndim else float(out)
 
 
@@ -143,19 +124,16 @@ def sph_harmonic(l: int, m: int, theta, phi):
         return (-1) ** (-m) * np.conj(sph_harmonic(l, -m, theta, phi))
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    ntheta = np.sin(theta) ** m * _scaled_legendre(l, m, np.cos(theta))
+    ntheta = np.sin(theta) ** m * _scaled_legendre_table(l, m, np.cos(theta))[l, m]
     out = ntheta * np.exp(1j * m * phi)
     return out if out.ndim else complex(out)
 
 
 def legendre_theta_kernel(l: int, m: int, theta):
-    """(n, tau, pi) of one mode (l, m), m of any sign: the degree-l row of
-    order m from legendre_theta_orders."""
+    """(n, tau, pi) of one mode (l, m), m of any sign (see legendre_theta_modes)."""
     if l < 1 or abs(m) > l:
         raise ValueError(f"invalid mode (l={l}, m={m})")
-    for order, n, tau, pi_ in legendre_theta_orders(l, theta):
-        if order == m:
-            return n[-1], tau[-1], pi_[-1]
+    return tuple(part[0] for part in legendre_theta_modes(theta, np.array([l]), np.array([m])))
 
 
 def sph_hankel1(l: int, x):

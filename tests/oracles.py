@@ -3,11 +3,19 @@
 Everything here is deliberately independent of the code under test: Legendre
 functions come from the Rodrigues formula with exact rational polynomial
 coefficients, Bessel/Hankel values from mpmath's arbitrary-precision series.
+The exception is the order-at-a-time float recurrence at the end of the file
+(_legendre_columns, legendre_theta_orders): it is the construction the
+package's all-orders Legendre table replaced, kept as the bit-for-bit
+reference for that table.
 """
 
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
+
+FOUR_PI = 4.0 * np.pi
 
 mp.mp.dps = 60
 
@@ -141,3 +149,76 @@ def riccati_h1_deriv(l, x, step=mp.mpf("1e-25")):
     x = mp.mpf(x)
     f = lambda t: t * sph_hankel1(l, t)
     return (f(x + step) - f(x - step)) / (2 * step)
+
+
+def _legendre_columns(l_max: int, x):
+    """For m = 0, 1, 2, ...: q_lm(x) for l = m..l_max stacked along a new
+    leading axis (no rows once m > l_max).
+
+    q_lm(x) = (normalized P_l^m(x)) / (1-x^2)^{m/2} is finite at the poles:
+    the sin^m(theta) factor is divided out symbolically so callers can
+    reapply exactly the power they need (this is what keeps 1/sin(theta)
+    terms of the vector harmonics pole-safe). The fully normalized
+    recurrences run upward in order for the seed q_mm, then upward in degree.
+    """
+    q = np.full_like(x, 1.0 / np.sqrt(FOUR_PI))
+    for m in itertools.count():
+        if m:
+            q = q * (-np.sqrt((2.0 * m + 1.0) / (2.0 * m)))
+        out = np.empty((max(l_max - m + 1, 0),) + x.shape)
+        out[:1] = q
+        out[1:2] = np.sqrt(2.0 * m + 3.0) * x * q
+        for ll in range(m + 2, l_max + 1):
+            a = np.sqrt((2.0 * ll + 1.0) * (2.0 * ll - 1.0) / ((ll - m) * (ll + m)))
+            b = np.sqrt((2.0 * ll + 1.0) * (ll - 1.0 - m) * (ll - 1.0 + m)
+                        / ((2.0 * ll - 3.0) * (ll - m) * (ll + m)))
+            out[ll - m] = a * x * out[ll - m - 1] - b * out[ll - m - 2]
+        yield out
+
+
+def _scaled_legendre(l: int, m: int, x):
+    """q_lm(x) of one degree and order (see _legendre_columns)."""
+    x = np.asarray(x, dtype=float)
+    return next(itertools.islice(_legendre_columns(l, x), m, None))[-1]
+
+
+def legendre_theta_orders(l_max: int, theta):
+    """Angular building blocks of the vector harmonics, one order at a time.
+
+    Yields (m, n, tau, pi) for m = 0, 1, -1, 2, -2, ..., l_max, -l_max. Each
+    array stacks the degrees l = max(|m|, 1)..l_max along a new leading axis;
+    the rest of its shape is theta's. Writing N_lm(theta) for the normalized
+    Legendre function at cos(theta):
+
+        n   = N_lm(theta)
+        tau = d N_lm / d theta
+        pi  = m N_lm / sin(theta)
+
+    tau uses the order-raising/lowering identity and pi the divided-out
+    sin^m factor, so both are exact at theta = 0 and pi (no 1/sin anywhere).
+    Each order's degree recurrence runs once, so all orders cost O(l_max^2)
+    vector steps. Negative orders follow from N_{l,-m} = (-1)^m N_lm.
+    """
+    theta = np.asarray(theta, dtype=float)
+    x = np.cos(theta)
+    s = np.sin(theta)
+    columns = _legendre_columns(l_max, x)
+    prev, cur = None, next(columns)
+    for m, nxt in zip(range(l_max + 1), columns):
+        lo = max(m, 1)
+        ls = np.arange(lo, l_max + 1).reshape((-1,) + (1,) * x.ndim)
+        q_m = cur[lo - m:]
+        n = s**m * q_m
+        pi_ = m * s ** (m - 1) * q_m if m >= 1 else np.zeros_like(n)
+        # d/dtheta via neighbors in order: 2 tau = A n_{l,m+1} - B n_{l,m-1}
+        n_up = np.zeros_like(n)
+        n_up[m + 1 - lo:] = s ** (m + 1) * nxt
+        n_dn = -s * nxt if m == 0 else s ** (m - 1) * prev[1:]
+        a = np.sqrt((ls - m) * (ls + m + 1.0))
+        b = np.sqrt((ls + m) * (ls - m + 1.0))
+        tau = 0.5 * (a * n_up - b * n_dn)
+        yield m, n, tau, pi_
+        if m:
+            sign = (-1) ** m
+            yield -m, sign * n, sign * tau, -sign * pi_
+        prev, cur = cur, nxt

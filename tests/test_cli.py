@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import per_coefficient_error, random_coefficients
-from spheremodes import CoefficientSet, Medium, make_grid, synthesize
+from spheremodes import CoefficientSet, Medium, cli, harmonics, make_grid, synthesize
 from spheremodes.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from spheremodes.dipole import DipoleSpec, radial_source_on_sphere
 from spheremodes.fileio import read_coefficients, read_field_file, write_coefficients, write_field_file
@@ -141,6 +141,18 @@ class TestExtractPipeline:
             scale = np.abs(d1.columns[name]).max()
             assert np.abs(d1.columns[name] - d2.columns[name]).max() <= 1e-9 * max(scale, 1e-30)
 
+    def test_default_degree_after_an_explicit_one(self, coeff_file, tmp_path):
+        # the parser is built once per process; no --lmax may leak between calls
+        path, _ = coeff_file
+        field = tmp_path / "field.csv"
+        main(["synth", str(path), "--radius", "1.0", "--grid-lmax", "4", "--out", str(field)])
+        out = tmp_path / "back.json"
+        for lmax, want in ((["--lmax", "3"], 3), ([], 4)):
+            assert main(["extract", str(field), "--route", "tan-e", *lmax,
+                         "--out", str(out)]) == EXIT_OK
+            assert read_coefficients(out)[0].l_max == want
+        assert cli.build_parser() is cli.build_parser()
+
     def test_missing_components_named_in_error(self, coeff_file, tmp_path, capsys):
         path, c = coeff_file
         grid = make_grid(3, 1.0)
@@ -237,6 +249,25 @@ class TestEquiv:
         args = [command, str(field), "--lmax", l_max, *(extra if command == "extract" else [])]
         assert main(args) == EXIT_INPUT_ERROR
         assert f"error: l_max must be >= 1, got {l_max}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "equiv"])
+    @pytest.mark.parametrize("l_max", ["3", "100000"])
+    def test_rejects_degree_above_the_grid(self, tmp_path, medium, capsys, monkeypatch,
+                                           command, l_max):
+        path = tmp_path / "c.json"
+        write_coefficients(path, random_coefficients(2, medium, np.random.default_rng(3)), FREQ)
+        field = tmp_path / "field.csv"
+        assert main(["synth", str(path), "--radius", "1.0", "--out", str(field)]) == EXIT_OK
+
+        def no_basis(*args):
+            raise AssertionError("basis built for a rejected --lmax")
+        monkeypatch.setattr(harmonics, "theta_profiles", no_basis)
+        extra = ["--route", "tan-e", "--out", str(tmp_path / "o.json")]
+        args = [command, str(field), "--lmax", l_max, *(extra if command == "extract" else [])]
+        assert main(args) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--lmax {l_max} exceeds" in err
+        assert "grid_l_max 2" in err
 
     def test_missing_columns(self, coeff_file, tmp_path):
         path, c = coeff_file

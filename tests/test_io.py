@@ -105,6 +105,8 @@ class TestCoefficientFile:
         (5, lambda row: row.update(aM=[1.0])),
         (6, lambda row: row.update(l=None)),
         (7, lambda row: row.update(m=1e400)),
+        (0, lambda row: row.update(aE=[True, False])),
+        (1, lambda row: row.update(aM=[1.0, True])),
     ])
     def test_rejects_malformed_mode_row_naming_it(self, tmp_path, medium, row, edit):
         c = random_coefficients(2, medium, np.random.default_rng(0))

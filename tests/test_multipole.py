@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_coefficients
+from oracles import legendre_theta_orders
 from spheremodes import (CoefficientSet, Medium, coefficient_deviation, duality,
                          far_field, make_grid, radiated_power, sph_harmonic, synthesize)
 from spheremodes import modes_upto, vec_X, vec_Z
 from spheremodes.harmonics import GridResolutionWarning, mode_count, mode_slot
-from spheremodes.specfun import legendre_theta_orders, riccati_h1_deriv, sph_hankel1
+from spheremodes.specfun import riccati_h1_deriv, sph_hankel1
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 

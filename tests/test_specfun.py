@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spheremodes.specfun import (ModeIndex, assoc_legendre_norm, legendre_theta_kernel,
-                                 legendre_theta_orders, radial_factors, riccati_h1_deriv,
-                                 sph_hankel1, sph_harmonic)
+from spheremodes.specfun import (ModeIndex, _scaled_legendre_table, assoc_legendre_norm,
+                                 legendre_theta_kernel, legendre_theta_modes, radial_factors,
+                                 riccati_h1_deriv, sph_hankel1, sph_harmonic)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -136,27 +136,55 @@ class TestThetaKernel:
         _, tau, pi_ = legendre_theta_kernel(5, 3, 0.0)
         assert tau == 0.0 and pi_ == 0.0
 
+    @pytest.mark.parametrize("l,m", [(40, 0), (40, 17), (40, -40), (64, 1), (64, -33), (64, 64)])
+    def test_high_degree_matches_oracle(self, l, m):
+        theta = 1.2
+        n, tau, pi_ = legendre_theta_kernel(l, m, theta)
+        y = oracles.sph_harm(l, m, theta, 0.0).real
+        want = (float(y), float(oracles.sph_harm_dtheta(l, m, theta, 0.0).real),
+                float(m * y / oracles.mp.sin(oracles.mp.mpf(theta))))
+        for got, ref in zip((n, tau, pi_), want):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def same_bits(got, want):
+    """Equal shapes and raw bits, so -0.0 and 0.0 tell apart."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestThetaOrders:
-    """The order-at-a-time generator is the only Legendre recurrence."""
+    """The all-orders Legendre table against the order-at-a-time recurrence
+    it replaced (oracles.legendre_theta_orders), bit for bit."""
 
     @pytest.mark.parametrize("l_max", range(1, 13))
     def test_rows_match_kernel_bit_for_bit(self, l_max):
         theta = np.concatenate([[0.0, np.pi], np.linspace(0.05, 3.1, 9)])
+        table = _scaled_legendre_table(l_max, l_max, np.cos(theta))
+        assert table.shape == (l_max + 1, l_max + 1, theta.size)
+        for m, column in zip(range(l_max + 1), oracles._legendre_columns(l_max, np.cos(theta))):
+            assert same_bits(table[m:, m], column)
+            assert not table[:m, m].any()  # zero above the diagonal
+            assert same_bits(_scaled_legendre_table(l_max, m, np.cos(theta)), table[:, :m + 1])
         orders = []
-        for m, n, tau, pi_ in legendre_theta_orders(l_max, theta):
+        for m, n, tau, pi_ in oracles.legendre_theta_orders(l_max, theta):
             orders.append(m)
-            assert n.shape == tau.shape == pi_.shape == (l_max - max(abs(m), 1) + 1, theta.size)
-            for row, l in enumerate(range(max(abs(m), 1), l_max + 1)):
-                want = legendre_theta_kernel(l, m, theta)
-                for got, ref in zip((n[row], tau[row], pi_[row]), want):
-                    assert np.array_equal(got, ref)
+            ls = np.arange(max(abs(m), 1), l_max + 1)
+            got = legendre_theta_modes(theta, ls, np.full_like(ls, m))
+            for part, ref in zip(got, (n, tau, pi_)):
+                assert same_bits(part, ref)
+            for row, l in enumerate(ls):
+                for part, ref in zip(legendre_theta_kernel(l, m, theta), (n, tau, pi_)):
+                    assert same_bits(part, ref[row])
         assert sorted(orders) == list(range(-l_max, l_max + 1))
 
     def test_keeps_trailing_theta_shape(self):
         theta = np.linspace(0.2, 2.9, 6).reshape(2, 3, 1)
-        for m, n, tau, pi_ in legendre_theta_orders(4, theta):
-            assert n.shape[1:] == tau.shape[1:] == pi_.shape[1:] == theta.shape
+        for m, n, tau, pi_ in oracles.legendre_theta_orders(4, theta):
+            ls = np.arange(max(abs(m), 1), 5)
+            got = legendre_theta_modes(theta, ls, np.full_like(ls, m))
+            for part, ref in zip(got, (n, tau, pi_)):
+                assert part.shape == (len(ls),) + theta.shape
+                assert same_bits(part, ref)
 
 
 class TestRadialFactors:
