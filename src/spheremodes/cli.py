@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import dipole as dipole_mod
-from .extraction import (ROUTE_RADIAL, ROUTE_TAN_E, ROUTE_TAN_H, equivalence_report,
-                         extract_radial, extract_tangential_e, extract_tangential_h)
+from .extraction import (equivalence_report, extract_radial, extract_tangential_e,
+                         extract_tangential_h)
 from .fileio import (FIELD_COLUMNS, FormatError, read_coefficients, read_field_file,
                      write_coefficients, write_field_file, write_pattern_csv)
 from .harmonics import make_grid, require_positive
@@ -39,9 +39,7 @@ def _pattern_directions(n_theta: int, n_phi: int):
         raise InputError("need n-theta >= 2 and n-phi >= 1")
     theta = (np.arange(n_theta) * np.pi) / (n_theta - 1)
     phi = (np.arange(n_phi) * (2.0 * np.pi)) / n_phi
-    tt = np.repeat(theta, n_phi)
-    pp = np.tile(phi, n_theta)
-    return np.column_stack([tt, pp])
+    return np.column_stack([np.repeat(theta, n_phi), np.tile(phi, n_theta)])
 
 
 def cmd_synth(args) -> int:
@@ -94,21 +92,16 @@ def cmd_extract(args) -> int:
 def cmd_equiv(args) -> int:
     data, l_max = _checked_field_data(args.field_file, FIELD_COLUMNS, args.lmax)
     result = equivalence_report(data.samples("E"), data.samples("H"), l_max)
-    routes = ((ROUTE_RADIAL, result.radial), (ROUTE_TAN_E, result.tangential_e),
-              (ROUTE_TAN_H, result.tangential_h))
     print("l m route aE_re aE_im aM_re aM_im")
     for mode in modes_upto(l_max):
         slot = mode_slot(mode.l, mode.m)
-        for name, report in routes:
-            ae = report.coeffs.a_e[slot]
-            am = report.coeffs.a_m[slot]
-            print(f"{mode.l} {mode.m} {name} "
+        for report in result.reports():
+            ae, am = report.coeffs.a_e[slot], report.coeffs.a_m[slot]
+            print(f"{mode.l} {mode.m} {report.route} "
                   f"{ae.real:.12e} {ae.imag:.12e} {am.real:.12e} {am.imag:.12e}")
     for pair, dev in sorted(result.pairwise_deviation.items()):
         print(f"deviation {pair[0]} vs {pair[1]}: {dev:.6e}")
-    flagged = sorted(set(result.radial.flagged_degrees)
-                     | set(result.tangential_e.flagged_degrees)
-                     | set(result.tangential_h.flagged_degrees))
+    flagged = sorted(set().union(*(report.flagged_degrees for report in result.reports())))
     if flagged:
         print(f"ill-conditioned degrees (noise amplification > 1e3): {flagged}",
               file=sys.stderr)
@@ -137,18 +130,11 @@ def cmd_dipole(args) -> int:
     result = dipole_mod.validate_roundtrip(spec, grid_l_max=args.grid_lmax,
                                            n_theta=args.n_theta)
     phi = np.zeros_like(result.theta)
-    direct = far_field(result.coeffs_direct,
-                       np.column_stack([result.theta, phi]))
-    recovered = far_field(result.coeffs_recovered,
-                          np.column_stack([result.theta, phi]))
-    write_pattern_csv(f"{args.out_prefix}_farfield_direct.csv", result.theta, phi,
-                      direct.e_theta, direct.e_phi, normalize=True)
-    write_pattern_csv(f"{args.out_prefix}_farfield_from_radial.csv", result.theta, phi,
-                      recovered.e_theta, recovered.e_phi, normalize=True)
-    dual_pattern = far_field(duality(result.coeffs_direct),
-                             np.column_stack([result.theta, phi]))
-    write_pattern_csv(f"{args.out_prefix}_farfield_dual.csv", result.theta, phi,
-                      dual_pattern.e_theta, dual_pattern.e_phi, normalize=True)
+    for name, coeffs in (("direct", result.coeffs_direct), ("from_radial", result.coeffs_recovered),
+                         ("dual", duality(result.coeffs_direct))):
+        pattern = far_field(coeffs, np.column_stack([result.theta, phi]))
+        write_pattern_csv(f"{args.out_prefix}_farfield_{name}.csv", result.theta, phi,
+                          pattern.e_theta, pattern.e_phi, normalize=True)
 
     dual = dipole_mod.magnetic_dipole_variant(spec, grid_l_max=args.grid_lmax,
                                               n_theta=args.n_theta)

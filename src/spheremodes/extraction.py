@@ -21,6 +21,8 @@ Each route reads only the sample components it is entitled to: the radial
 route never touches tangential columns, the tangential routes never touch
 the radial column. Modes whose divisor magnitude is far above the
 best-conditioned degree amplify sample noise; they are reported, not fixed.
+Routes run together share work: each field is projected once for every kind
+they read, and (h_l, D_l) is evaluated once for every route.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .harmonics import FieldSamples, mode_degrees, project_all
+from .harmonics import FieldSamples, _project, mode_degrees
 from .multipole import CoefficientSet, Medium, coefficient_deviation, mode_deviations
 from .specfun import radial_factors
 
@@ -93,18 +95,20 @@ class EquivalenceResult:
         return (self.radial, self.tangential_e, self.tangential_h)
 
 
-def route_condition(route: str, medium: Medium, r0: float, l_max: int) -> Dict[int, float]:
-    """Per-degree magnitude of the largest divisor the route uses."""
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
-    h, d = radial_factors(l_max, medium.k * r0)
+def _condition(route: str, h: np.ndarray, d: np.ndarray) -> Dict[int, float]:
+    """Per-degree magnitude of the largest divisor the route uses, from (h_l, D_l)."""
     if route == ROUTE_RADIAL:
         mags = np.abs(h)
     elif route in (ROUTE_TAN_E, ROUTE_TAN_H):
         mags = np.maximum(np.abs(h), np.abs(d))
     else:
         raise ValueError(f"unknown route {route!r}")
-    return {l: float(mags[l - 1]) for l in range(1, l_max + 1)}
+    return {l: float(mag) for l, mag in enumerate(mags, 1)}
+
+
+def route_condition(route: str, medium: Medium, r0: float, l_max: int) -> Dict[int, float]:
+    """Per-degree magnitude of the largest divisor the route uses."""
+    return _condition(route, *radial_factors(l_max, medium.k * r0))
 
 
 def _amplification(condition: Dict[int, float]) -> Dict[int, float]:
@@ -112,10 +116,15 @@ def _amplification(condition: Dict[int, float]) -> Dict[int, float]:
     return {l: c / best for l, c in condition.items()}
 
 
-def _extract(route: str, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int,
+def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int,
              condition_threshold: float):
-    """One route's coefficients from the samples it reads, and its condition indicators."""
-    samples = {kind: {"E": e, "H": h}[kind] for kind, _, _ in _ROUTE_TERMS[route]}
+    """{route: (coefficients, condition indicators)} for the routes, from one
+    projection call per field (every kind the routes read from it) and one
+    (h_l, D_l) evaluation shared by every route's indicators and divisors."""
+    wanted = {}  # field -> the projection kinds the routes read from it, as an ordered set
+    for field, kind, _ in itertools.chain.from_iterable(_ROUTE_TERMS[r] for r in routes):
+        wanted.setdefault(field, {})[kind] = None
+    samples = {field: {"E": e, "H": h}[field] for field in wanted}
     for kind, fields in samples.items():
         if fields.field_kind != kind:
             raise ValueError(f"expected {kind} samples, got {fields.field_kind}")
@@ -128,40 +137,42 @@ def _extract(route: str, e: Optional[FieldSamples], h: Optional[FieldSamples], l
         if first.medium != other.medium:
             raise ValueError("E and H samples must share one medium")
     med = first.medium
-    r0 = first.grid.r0
-    condition = route_condition(route, med, r0, l_max)
-    bad = sorted(l for l, a in _amplification(condition).items() if a > condition_threshold)
-    if bad:
-        warnings.warn(
-            f"{route} extraction: degrees {bad} are deeply evanescent on this "
-            f"sphere (divisor amplification above {condition_threshold:g}); recovered "
-            f"coefficients there amplify sample noise",
-            ConditioningWarning, stacklevel=3)
-    x0 = med.k * r0
+    x0 = med.k * first.grid.r0
     h_l, d_l = radial_factors(l_max, x0)
+    conditions = {route: _condition(route, h_l, d_l) for route in routes}
+    for route, condition in conditions.items():
+        bad = sorted(l for l, a in _amplification(condition).items() if a > condition_threshold)
+        if bad:
+            warnings.warn(
+                f"{route} extraction: degrees {bad} are deeply evanescent on this "
+                f"sphere (divisor amplification above {condition_threshold:g}); recovered "
+                f"coefficients there amplify sample noise",
+                ConditioningWarning, stacklevel=3)
+    projected = {(field, kind): values for field, kinds in wanted.items()
+                 for kind, values in zip(kinds, _project(samples[field], tuple(kinds), l_max))}
     l = mode_degrees(l_max)
-    a_e, a_m = (project_all(samples[kind], projection, l_max)
-                / divisor(x0, med.z0, np.sqrt(l * (l + 1.0)), h_l[l - 1], d_l[l - 1])
-                for kind, projection, divisor in _ROUTE_TERMS[route])
-    return CoefficientSet(l_max, med, a_e, a_m), condition
+    factors = (x0, med.z0, np.sqrt(l * (l + 1.0)), h_l[l - 1], d_l[l - 1])
+    return {route: (CoefficientSet(l_max, med, *(projected[field, kind] / divisor(*factors)
+                                                 for field, kind, divisor in _ROUTE_TERMS[route])),
+                    condition) for route, condition in conditions.items()}
 
 
 def extract_radial(e: FieldSamples, h: FieldSamples, l_max: int,
                    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
     """Coefficients from the radial components of E and H alone."""
-    return _extract(ROUTE_RADIAL, e, h, l_max, condition_threshold)[0]
+    return _extract((ROUTE_RADIAL,), e, h, l_max, condition_threshold)[ROUTE_RADIAL][0]
 
 
 def extract_tangential_e(e: FieldSamples, l_max: int,
                          condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
     """Coefficients from the tangential components of E alone."""
-    return _extract(ROUTE_TAN_E, e, None, l_max, condition_threshold)[0]
+    return _extract((ROUTE_TAN_E,), e, None, l_max, condition_threshold)[ROUTE_TAN_E][0]
 
 
 def extract_tangential_h(h: FieldSamples, l_max: int,
                          condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
     """Coefficients from the tangential components of H alone."""
-    return _extract(ROUTE_TAN_H, None, h, l_max, condition_threshold)[0]
+    return _extract((ROUTE_TAN_H,), None, h, l_max, condition_threshold)[ROUTE_TAN_H][0]
 
 
 def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int,
@@ -175,8 +186,8 @@ def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int,
     tangential-H data. Per-route conditioning warnings propagate unchanged.
     """
     reports = []
-    for route in (ROUTE_RADIAL, ROUTE_TAN_E, ROUTE_TAN_H):
-        coeffs, condition = _extract(route, e, h, l_max, condition_threshold)
+    results = _extract(tuple(_ROUTE_TERMS), e, h, l_max, condition_threshold)
+    for route, (coeffs, condition) in results.items():
         amp = _amplification(condition)
         flagged = tuple(sorted(l for l, a in amp.items() if a > flag_threshold))
         residuals = None if reference is None else mode_deviations(coeffs, reference)

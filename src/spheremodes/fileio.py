@@ -69,11 +69,13 @@ def read_coefficients(path):
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        l_max = doc["l_max"]
-        frequency = float(doc["frequency_hz"])
+        l_max, modes = doc["l_max"], doc["modes"]
+        numbers = doc["frequency_hz"], doc["medium"]["k"], doc["medium"]["Z0"]
+        if not all(type(x) in (int, float) for x in numbers):  # no booleans or strings
+            raise TypeError("frequency_hz, k and Z0 must be numbers")
+        frequency, k, z0 = map(float, numbers)
         require_positive("frequency", frequency)
-        medium = Medium(k=float(doc["medium"]["k"]), z0=float(doc["medium"]["Z0"]))
-        modes = doc["modes"]
+        medium = Medium(k=k, z0=z0)
     except (KeyError, OverflowError, TypeError) as exc:
         raise FormatError(f"{path}: missing or malformed field ({exc})") from exc
     except ValueError as exc:
@@ -150,11 +152,9 @@ def write_field_file(path, e: Optional[FieldSamples], h: Optional[FieldSamples],
         raise ValueError("at least one of E, H must be given")
     if e is not None and h is not None and not e.grid.same_geometry(h.grid):
         raise ValueError("E and H samples must share one grid")
-    grid = ref.grid
-    medium = ref.medium
-    header = ["theta_rad", "phi_rad", "weight_sr"]
-    for name in FIELD_COLUMNS:
-        header += [f"re_{name}", f"im_{name}"]
+    grid, medium = ref.grid, ref.medium
+    header = ["theta_rad", "phi_rad", "weight_sr",
+              *(f"{part}_{name}" for name in FIELD_COLUMNS for part in ("re", "im"))]
     head = [
         f"# radius_m={_fmt(grid.r0)}",
         f"# frequency_hz={_fmt(frequency_hz)}",
@@ -192,9 +192,7 @@ def _float_column(path, name, cells) -> Optional[np.ndarray]:
 def read_field_file(path) -> FieldFileData:
     """Parse a field file; the grid is rebuilt from the declared preamble
     geometry (extraction never guesses it) once there are n_theta x n_phi rows."""
-    meta = {}
-    rows = []
-    header = None
+    meta, rows, header = {}, [], None
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -218,17 +216,20 @@ def read_field_file(path) -> FieldFileData:
     for key in ("radius_m", "frequency_hz", "grid_l_max", "n_theta", "n_phi"):
         if key not in meta:
             raise FormatError(f"{path}: preamble key {key} missing")
-    radius = float(meta["radius_m"])
-    frequency = float(meta["frequency_hz"])
-    require_positive("frequency", frequency)
-    grid_l_max, n_theta, n_phi = (int(meta[key]) for key in ("grid_l_max", "n_theta", "n_phi"))
-    if len(rows) != n_theta * n_phi:  # before make_grid allocates the declared grid
-        raise FormatError(f"{path}: {len(rows)} node rows for a declared {n_theta} x {n_phi} grid")
-    k = float(meta["k_rad_per_m"]) if "k_rad_per_m" in meta else (
-        2.0 * np.pi * frequency / SPEED_OF_LIGHT)
-    z0 = float(meta["Z0_ohm"]) if "Z0_ohm" in meta else None
-    medium = Medium(k=k) if z0 is None else Medium(k=k, z0=z0)
-    grid = make_grid(grid_l_max, radius, n_theta=n_theta, n_phi=n_phi)
+    try:  # a value that is not a number, or not a valid radius, medium or grid
+        radius = float(meta["radius_m"])
+        frequency = float(meta["frequency_hz"])
+        require_positive("frequency", frequency)
+        grid_l_max, n_theta, n_phi = (int(meta[key]) for key in ("grid_l_max", "n_theta", "n_phi"))
+        if len(rows) != n_theta * n_phi:  # before make_grid allocates the declared grid
+            raise FormatError(f"{len(rows)} node rows for a declared {n_theta} x {n_phi} grid")
+        k = float(meta["k_rad_per_m"]) if "k_rad_per_m" in meta else (
+            2.0 * np.pi * frequency / SPEED_OF_LIGHT)
+        z0 = float(meta["Z0_ohm"]) if "Z0_ohm" in meta else None
+        medium = Medium(k=k) if z0 is None else Medium(k=k, z0=z0)
+        grid = make_grid(grid_l_max, radius, n_theta=n_theta, n_phi=n_phi)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     ncol = len(header)
     bad_widths = set(map(len, rows)) - {ncol}
     if bad_widths:
@@ -254,6 +255,8 @@ def read_field_file(path) -> FieldFileData:
         im = _float_column(path, f"im_{name}", im_cells)
         if (re is None) != (im is None):
             raise FormatError(f"{path}: column {name} is partially empty")
+        if re is not None and not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise FormatError(f"{path}: column {name} has a non-finite value")
         if re is None:
             columns[name] = None
         else:  # filled part by part: re + 1j * im turns -0.0 parts into +0.0
@@ -267,13 +270,10 @@ def write_pattern_csv(path, theta: np.ndarray, phi: np.ndarray,
                       normalize: bool = False) -> None:
     """Far-field pattern CSV: magnitudes and phases of E_theta, E_phi per
     direction; --normalize divides magnitudes by the overall peak."""
-    mag_t = np.abs(e_theta)
-    mag_p = np.abs(e_phi)
-    if normalize:
-        peak = max(mag_t.max(), mag_p.max())
-        if peak > 0.0:
-            mag_t = mag_t / peak
-            mag_p = mag_p / peak
+    mag_t, mag_p = np.abs(e_theta), np.abs(e_phi)
+    peak = max(mag_t.max(), mag_p.max()) if normalize else 0.0
+    if peak > 0.0:
+        mag_t, mag_p = mag_t / peak, mag_p / peak
     header = "theta_rad,phi_rad,mag_E_theta,phase_E_theta_rad,mag_E_phi,phase_E_phi_rad"
     table = np.column_stack([theta, phi, mag_t, np.angle(e_theta), mag_p, np.angle(e_phi)])
     _write_table(path, [header], ",".join(["%.17g"] * 6), table)

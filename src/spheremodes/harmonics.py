@@ -20,6 +20,7 @@ n_theta, n_phi, 3 l_max <= 10 000.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -136,6 +137,14 @@ class SphereGrid:
         return y, x_theta, x_phi, -x_phi, x_theta
 
 
+@functools.cache
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
               n_phi: Optional[int] = None) -> SphereGrid:
     """Build a sphere grid whose quadrature integrates Y_{l'm'} conj(Y_{lm})
@@ -156,7 +165,7 @@ def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
         raise ValueError(f"n_theta={n_theta} cannot resolve degree {l_max} (need >= {l_max + 1})")
     if n_phi < 2 * l_max + 1:
         raise ValueError(f"n_phi={n_phi} cannot resolve order {l_max} (need >= {2 * l_max + 1})")
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x, w = _gauss_legendre(n_theta)
     # ascending theta = descending x
     theta_nodes = np.arccos(x[::-1])
     w_theta = w[::-1]
@@ -266,12 +275,15 @@ def order_sums(weights, profiles, l_max: int) -> np.ndarray:
     return np.vecdot(w.reshape(*w.shape[:-3], 1, *shape), rows)
 
 
-def _project(samples: FieldSamples, kind: str, l: int, mode: Optional[ModeIndex] = None):
-    """Quadrature sum of conj(V) . w F for one mode, or for every mode up to
-    degree l (mode None) in mode_slot order, reading only the columns the kind
-    reads, weighted into a fresh contiguous array: a phi step, then a theta step."""
-    if kind not in PROJECTION_KINDS:
-        raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
+def _project(samples: FieldSamples, kinds, l: int, mode: Optional[ModeIndex] = None):
+    """Quadrature sums of conj(V) . w F, one per kind V in kinds, for one mode
+    or for every mode up to degree l (mode None) in mode_slot order. The
+    columns the kinds read are weighted once into a fresh contiguous array and
+    share one phi step; 'Yr' and 'X' share one theta step, and 'Z' takes X's
+    profiles against the swapped tangential pair."""
+    for kind in kinds:
+        if kind not in PROJECTION_KINDS:
+            raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
     grid = samples.grid
     if l > grid.l_max:
         warnings.warn(
@@ -279,21 +291,22 @@ def _project(samples: FieldSamples, kind: str, l: int, mode: Optional[ModeIndex]
             f"l_max={grid.l_max}; the quadrature may alias",
             GridResolutionWarning, stacklevel=3)
     profiles, phases = grid.basis(l)
-    parts = slice(0, 1) if kind == "Yr" else slice(1, 3)
-    f = np.multiply(samples.values[:, parts].T, grid.weights, order="C").reshape(
+    lo, hi = (0 if "Yr" in kinds else 1), (3 if "X" in kinds or "Z" in kinds else 1)
+    f = np.multiply(samples.values.T[lo:hi], grid.weights, order="C").reshape(
         -1, grid.n_theta, grid.n_phi)
     if mode is None:
-        rows = profiles[:, parts]
+        rows = profiles[:, lo:hi]
         g = np.vecdot(phases[:, None, None], f)[mode_orders(l) + l]
     else:
-        rows = profiles[mode_slot(mode.l, mode.m), parts]
+        rows = profiles[mode_slot(mode.l, mode.m), lo:hi]
         g = np.vecdot(phases[l + mode.m], f)
-    if kind == "Z":  # Z = (-X_phi, X_theta): X's profiles against the swapped columns
-        g = g[..., ::-1, :]
-    t = np.vecdot(rows, g).T
-    if kind == "Yr":
-        return t[0]
-    return t[0] + t[1] if kind == "X" else t[0] - t[1]
+    t = np.vecdot(rows, g).T if "Yr" in kinds or "X" in kinds else None
+    if "Z" in kinds:  # the tangential pair's profiles against the swapped pair's phi sums
+        z = np.vecdot(rows if lo else rows[..., 1:, :], g[..., :-3:-1, :]).T
+    out = []  # a loop, not a comprehension: one-mode calls pay for every step
+    for kind in kinds:
+        out.append(t[0] if kind == "Yr" else t[-2] + t[-1] if kind == "X" else z[0] - z[1])
+    return out
 
 
 def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
@@ -304,10 +317,10 @@ def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
     and 'Z' the tangential columns alone. Warns (GridResolutionWarning) when
     the mode degree exceeds the grid's declared exactness.
     """
-    return complex(_project(samples, kind, mode.l, mode))
+    return complex(_project(samples, (kind,), mode.l, mode)[0])
 
 
 def project_all(samples: FieldSamples, kind: str, l_max: int) -> np.ndarray:
     """project() for every mode with l <= l_max at once, in mode_slot order;
     each entry equals the single-mode result bit for bit."""
-    return _project(samples, kind, l_max)
+    return _project(samples, (kind,), l_max)[0]

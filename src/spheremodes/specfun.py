@@ -167,6 +167,8 @@ def _hankel1_upto(l_max: int, x):
 def radial_factors(l_max: int, x):
     """(h_l(x), D_l(x) = d/dx [x h_l(x)]) for l = 1..l_max, each stacked along
     a new leading axis indexed by l - 1; D_l = x h_{l-1}(x) - l h_l(x)."""
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     x = np.asarray(x, dtype=float)
     h = _hankel1_upto(l_max, x)
     ls = np.arange(1, l_max + 1).reshape((-1,) + (1,) * x.ndim)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import per_coefficient_error, random_coefficients
-from spheremodes import (CoefficientSet, FieldSamples, Medium, make_grid, synthesize)
+from spheremodes import (CoefficientSet, EquivalenceResult, FieldSamples, Medium, make_grid,
+                         synthesize)
 from spheremodes.extraction import (ConditioningWarning, equivalence_report, extract_radial,
                                     extract_tangential_e, extract_tangential_h,
                                     route_condition)
@@ -246,22 +247,36 @@ class TestEquivalenceReport:
         flagged = set().union(*(r.flagged_degrees for r in result.reports()))
         assert 5 in flagged
 
-    def test_route_condition_once_per_route(self, medium, rng, monkeypatch):
+    @pytest.mark.parametrize("call, projections", [
+        (lambda e, h: equivalence_report(e, h, 4),
+         [("E", {"Yr", "X", "Z"}), ("H", {"Yr", "X", "Z"})]),
+        (lambda e, h: extract_radial(e, h, 4), [("E", {"Yr"}), ("H", {"Yr"})]),
+        (lambda e, h: extract_tangential_e(e, 4), [("E", {"X", "Z"})]),
+        (lambda e, h: extract_tangential_h(h, 4), [("H", {"X", "Z"})]),
+    ], ids=["report", "radial", "tangential-E", "tangential-H"])
+    def test_one_hankel_evaluation_and_one_projection_per_field(self, medium, rng, monkeypatch,
+                                                                  call, projections):
         from spheremodes import extraction
-        calls = []
-        original = extraction.route_condition
+        factors, projected = [], []
+        original_factors, original_project = extraction.radial_factors, extraction._project
 
-        def counted(route, *args):
-            calls.append(route)
-            return original(route, *args)
+        def counted_factors(*args):
+            factors.append(args)
+            return original_factors(*args)
 
-        monkeypatch.setattr(extraction, "route_condition", counted)
-        c = random_coefficients(4, medium, rng)
-        e, h = synthesized(c)
-        result = equivalence_report(e, h, 4)
-        assert sorted(calls) == sorted(["radial", "tangential-E", "tangential-H"])
-        for report in result.reports():
-            assert report.condition_indicators == original(report.route, medium, 1.0, 4)
+        def counted_project(samples, kinds, *args):
+            projected.append((samples.field_kind, set(kinds)))
+            assert len(kinds) == len(set(kinds))
+            return original_project(samples, kinds, *args)
+
+        monkeypatch.setattr(extraction, "radial_factors", counted_factors)
+        monkeypatch.setattr(extraction, "_project", counted_project)
+        e, h = synthesized(random_coefficients(4, medium, rng))
+        result = call(e, h)
+        assert len(factors) == 1
+        assert projected == projections
+        for report in result.reports() if isinstance(result, EquivalenceResult) else ():
+            assert report.condition_indicators == route_condition(report.route, medium, 1.0, 4)
 
     def test_warnings_propagate(self, rng):
         medium = Medium(k=0.5)

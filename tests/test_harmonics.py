@@ -63,6 +63,19 @@ class TestMakeGrid:
         assert np.all(np.diff(grid.theta) >= 0.0)
         assert np.allclose(grid.phi[:grid.n_phi], grid.phi_nodes)
 
+    def test_gauss_legendre_rule_cached_read_only(self):
+        from spheremodes.harmonics import _gauss_legendre
+        a, b = make_grid(6, 1.0), make_grid(6, 2.0)
+        for name in ("theta_nodes", "theta", "weights"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        x, w = _gauss_legendre(7)
+        assert _gauss_legendre(7)[0] is x
+        want_x, want_w = np.polynomial.legendre.leggauss(7)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_default_counts(self):
         grid = make_grid(6, 1.0)
         assert grid.n_theta == 7 and grid.n_phi == 14
