@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import dipole as dipole_mod
-from .extraction import (equivalence_report, extract_radial, extract_tangential_e,
-                         extract_tangential_h)
+from .extraction import (FLAG_THRESHOLD, equivalence_report, extract_radial,
+                         extract_tangential_e, extract_tangential_h)
 from .fileio import (FIELD_COLUMNS, FormatError, read_coefficients, read_field_file,
                      write_coefficients, write_field_file, write_pattern_csv)
 from .harmonics import make_grid, require_positive
@@ -103,7 +103,7 @@ def cmd_equiv(args) -> int:
         print(f"deviation {pair[0]} vs {pair[1]}: {dev:.6e}")
     flagged = sorted(set().union(*(report.flagged_degrees for report in result.reports())))
     if flagged:
-        print(f"ill-conditioned degrees (noise amplification > 1e3): {flagged}",
+        print(f"ill-conditioned degrees (noise amplification > {FLAG_THRESHOLD:g}): {flagged}",
               file=sys.stderr)
     print(f"max pairwise deviation: {result.max_pairwise_deviation:.6e}")
     return EXIT_OK if result.max_pairwise_deviation <= args.tol else EXIT_TOLERANCE

@@ -20,7 +20,8 @@ regression suite pins this).
 Each route reads only the sample components it is entitled to: the radial
 route never touches tangential columns, the tangential routes never touch
 the radial column. Modes whose divisor magnitude is far above the
-best-conditioned degree amplify sample noise; they are reported, not fixed.
+best-conditioned degree amplify sample noise; they are reported (a warning
+above CONDITION_THRESHOLD, a flagged degree above FLAG_THRESHOLD), not fixed.
 Routes run together share work: each field is projected once for every kind
 they read, and (h_l, D_l) is evaluated once for every route.
 """
@@ -35,14 +36,15 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .harmonics import FieldSamples, _project, mode_degrees
-from .multipole import CoefficientSet, Medium, coefficient_deviation, mode_deviations
+from .multipole import CoefficientSet, Medium, coefficient_deviation
 from .specfun import radial_factors
 
 ROUTE_RADIAL = "radial"
 ROUTE_TAN_E = "tangential-E"
 ROUTE_TAN_H = "tangential-H"
 
-DEFAULT_CONDITION_THRESHOLD = 1e6
+CONDITION_THRESHOLD = 1e6  # amplification above which extraction warns
+FLAG_THRESHOLD = 1e3  # amplification above which a report flags the degree
 
 # How each route recovers (a_E, a_M): the field it projects, the projection
 # kind, and the per-degree divisor of that projection as a function of
@@ -68,9 +70,8 @@ class ExtractionReport:
 
     condition_indicators maps degree l to the magnitude of that degree's
     largest divisor (|h_l| or |D_l| as the route uses them); amplification is
-    the same quantity normalized to the best-conditioned degree. residuals,
-    when a reference set is given, holds the per-mode relative deviation
-    as (n_modes, 2) for the (electric, magnetic) families.
+    the same quantity normalized to the best-conditioned degree;
+    flagged_degrees are those whose amplification exceeds FLAG_THRESHOLD.
     """
 
     route: str
@@ -78,7 +79,6 @@ class ExtractionReport:
     condition_indicators: Dict[int, float]
     amplification: Dict[int, float]
     flagged_degrees: Tuple[int, ...]
-    residuals: Optional[np.ndarray] = None
 
 
 @dataclass(eq=False)
@@ -96,13 +96,11 @@ class EquivalenceResult:
 
 
 def _condition(route: str, h: np.ndarray, d: np.ndarray) -> Dict[int, float]:
-    """Per-degree magnitude of the largest divisor the route uses, from (h_l, D_l)."""
-    if route == ROUTE_RADIAL:
-        mags = np.abs(h)
-    elif route in (ROUTE_TAN_E, ROUTE_TAN_H):
-        mags = np.maximum(np.abs(h), np.abs(d))
-    else:
+    """Per-degree max over the route's terms of |D_l| (Z projection) or |h_l| (Yr, X)."""
+    if route not in _ROUTE_TERMS:
         raise ValueError(f"unknown route {route!r}")
+    mags = np.maximum.reduce([np.abs(d if kind == "Z" else h)
+                              for _, kind, _ in _ROUTE_TERMS[route]])
     return {l: float(mag) for l, mag in enumerate(mags, 1)}
 
 
@@ -116,8 +114,7 @@ def _amplification(condition: Dict[int, float]) -> Dict[int, float]:
     return {l: c / best for l, c in condition.items()}
 
 
-def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int,
-             condition_threshold: float):
+def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int):
     """{route: (coefficients, condition indicators)} for the routes, from one
     projection call per field (every kind the routes read from it) and one
     (h_l, D_l) evaluation shared by every route's indicators and divisors."""
@@ -141,11 +138,11 @@ def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max
     h_l, d_l = radial_factors(l_max, x0)
     conditions = {route: _condition(route, h_l, d_l) for route in routes}
     for route, condition in conditions.items():
-        bad = sorted(l for l, a in _amplification(condition).items() if a > condition_threshold)
+        bad = sorted(l for l, a in _amplification(condition).items() if a > CONDITION_THRESHOLD)
         if bad:
             warnings.warn(
                 f"{route} extraction: degrees {bad} are deeply evanescent on this "
-                f"sphere (divisor amplification above {condition_threshold:g}); recovered "
+                f"sphere (divisor amplification above {CONDITION_THRESHOLD:g}); recovered "
                 f"coefficients there amplify sample noise",
                 ConditioningWarning, stacklevel=3)
     projected = {(field, kind): values for field, kinds in wanted.items()
@@ -157,28 +154,22 @@ def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max
                     condition) for route, condition in conditions.items()}
 
 
-def extract_radial(e: FieldSamples, h: FieldSamples, l_max: int,
-                   condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
+def extract_radial(e: FieldSamples, h: FieldSamples, l_max: int) -> CoefficientSet:
     """Coefficients from the radial components of E and H alone."""
-    return _extract((ROUTE_RADIAL,), e, h, l_max, condition_threshold)[ROUTE_RADIAL][0]
+    return _extract((ROUTE_RADIAL,), e, h, l_max)[ROUTE_RADIAL][0]
 
 
-def extract_tangential_e(e: FieldSamples, l_max: int,
-                         condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
+def extract_tangential_e(e: FieldSamples, l_max: int) -> CoefficientSet:
     """Coefficients from the tangential components of E alone."""
-    return _extract((ROUTE_TAN_E,), e, None, l_max, condition_threshold)[ROUTE_TAN_E][0]
+    return _extract((ROUTE_TAN_E,), e, None, l_max)[ROUTE_TAN_E][0]
 
 
-def extract_tangential_h(h: FieldSamples, l_max: int,
-                         condition_threshold: float = DEFAULT_CONDITION_THRESHOLD) -> CoefficientSet:
+def extract_tangential_h(h: FieldSamples, l_max: int) -> CoefficientSet:
     """Coefficients from the tangential components of H alone."""
-    return _extract((ROUTE_TAN_H,), None, h, l_max, condition_threshold)[ROUTE_TAN_H][0]
+    return _extract((ROUTE_TAN_H,), None, h, l_max)[ROUTE_TAN_H][0]
 
 
-def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int,
-                       condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
-                       flag_threshold: float = 1e3,
-                       reference: Optional[CoefficientSet] = None) -> EquivalenceResult:
+def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int) -> EquivalenceResult:
     """Run all three routes on the same surface data and compare them pairwise.
 
     For exactly synthesized input the pairwise deviations sit at roundoff:
@@ -186,12 +177,10 @@ def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int,
     tangential-H data. Per-route conditioning warnings propagate unchanged.
     """
     reports = []
-    results = _extract(tuple(_ROUTE_TERMS), e, h, l_max, condition_threshold)
-    for route, (coeffs, condition) in results.items():
+    for route, (coeffs, condition) in _extract(tuple(_ROUTE_TERMS), e, h, l_max).items():
         amp = _amplification(condition)
-        flagged = tuple(sorted(l for l, a in amp.items() if a > flag_threshold))
-        residuals = None if reference is None else mode_deviations(coeffs, reference)
-        reports.append(ExtractionReport(route, coeffs, condition, amp, flagged, residuals))
+        flagged = tuple(sorted(l for l, a in amp.items() if a > FLAG_THRESHOLD))
+        reports.append(ExtractionReport(route, coeffs, condition, amp, flagged))
     pairwise = {(a.route, b.route): coefficient_deviation(a.coeffs, b.coeffs)
                 for a, b in itertools.combinations(reports, 2)}
     return EquivalenceResult(*reports, pairwise, max(pairwise.values()))

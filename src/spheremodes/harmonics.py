@@ -44,6 +44,8 @@ def require_positive(name: str, value: float) -> None:
 
 def mode_count(l_max: int) -> int:
     """Number of radiating modes with 1 <= l <= l_max: l_max (l_max + 2)."""
+    if l_max < 1:  # also guards every CoefficientSet constructor
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     return l_max * (l_max + 2)
 
 

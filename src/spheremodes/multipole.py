@@ -30,6 +30,7 @@ from .specfun import ModeIndex, radial_factors
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 VACUUM_IMPEDANCE = 376.730313668  # ohm
+ZERO_FLOOR = 1e-12  # coefficient_deviation: below this fraction of the joint scale is zero
 
 
 def modes_upto(l_max: int) -> list[ModeIndex]:
@@ -245,28 +246,16 @@ def radiated_power(coeffs: CoefficientSet, r: float, grid: SphereGrid) -> float:
     return float(fixed_order_sum(grid.weights * flux)) * r * r
 
 
-def mode_deviations(c1: CoefficientSet, c2: CoefficientSet,
-                    zero_floor: float = 1e-12) -> np.ndarray:
-    """Per-mode |a1 - a2| / max(|a1|, |a2|) as (n_modes, 2) for the
-    (electric, magnetic) families.
+def coefficient_deviation(c1: CoefficientSet, c2: CoefficientSet) -> float:
+    """Max over modes and both families of |a1 - a2| / max(|a1|, |a2|).
 
-    Mode pairs where both magnitudes sit below zero_floor times the joint
-    scale count as agreeing zeros (deviation 0): roundoff residue on a mode
-    absent from both sets is not a deviation. A mode present in one set and
-    absent from the other still registers in full.
+    Mode pairs where both magnitudes sit below ZERO_FLOOR times the largest
+    magnitude in either set count as agreeing zeros (roundoff on a mode absent
+    from both); a mode present in one set and absent from the other registers in full.
     """
     if c1.l_max != c2.l_max:
         raise ValueError("coefficient sets must share l_max")
-    scale = max(c1.max_abs(), c2.max_abs())
-    out = np.zeros((mode_count(c1.l_max), 2))
-    for col, (x1, x2) in enumerate(((c1.a_e, c2.a_e), (c1.a_m, c2.a_m))):
-        denom = np.maximum(np.abs(x1), np.abs(x2))
-        live = denom > zero_floor * scale
-        out[live, col] = np.abs(x1 - x2)[live] / denom[live]
-    return out
-
-
-def coefficient_deviation(c1: CoefficientSet, c2: CoefficientSet,
-                          zero_floor: float = 1e-12) -> float:
-    """Max over modes and both families of mode_deviations."""
-    return float(mode_deviations(c1, c2, zero_floor).max(initial=0.0))
+    a1, a2 = np.concatenate((c1.a_e, c1.a_m)), np.concatenate((c2.a_e, c2.a_m))
+    denom = np.maximum(np.abs(a1), np.abs(a2))
+    live = denom > ZERO_FLOOR * denom.max()
+    return float((np.abs(a1 - a2)[live] / denom[live]).max(initial=0.0))

@@ -72,8 +72,10 @@ def legendre_theta_modes(theta, l, m):
     harmonics for the modes (l[i], m[i]), l >= 1, m of either sign, shaped
     l.shape + theta.shape; N_lm(theta) is the normalized Legendre function at
     cos(theta). tau uses the order-raising/lowering identity and pi the
-    divided-out sin^m factor, so both are exact at theta = 0 and pi. This is
-    the only place that applies N_{l,-m} = (-1)^m N_lm.
+    divided-out sin^m factor, so both are exact at theta = 0 and pi. The sign
+    rule N_{l,-m} = (-1)^m N_lm is applied here for the vector-harmonic
+    profiles (theta_profiles, legendre_theta_kernel); sph_harmonic applies it
+    separately, as Y_{l,-m} = (-1)^m conj(Y_lm).
     """
     theta, l, m = np.asarray(theta, dtype=float), np.asarray(l), np.asarray(m)
     mu, below = np.abs(m), np.abs(np.abs(m) - 1)  # order m - 1 at m = 0 is -1: n_{l,-1} = -n_{l,1}

@@ -9,6 +9,7 @@ from helpers import per_coefficient_error, random_coefficients
 from spheremodes import CoefficientSet, Medium, cli, harmonics, make_grid, synthesize
 from spheremodes.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from spheremodes.dipole import DipoleSpec, radial_source_on_sphere
+from spheremodes.extraction import FLAG_THRESHOLD, equivalence_report
 from spheremodes.fileio import read_coefficients, read_field_file, write_coefficients, write_field_file
 
 FREQ = 299792458.0 / 4.0  # wavelength 4 m, so k = pi/2 and kr0 = pi/2 at r0 = 1
@@ -205,6 +206,20 @@ class TestEquiv:
         assert "max pairwise deviation" in out
         deviation = float(out.rsplit(":", 1)[1])
         assert deviation <= 1e-9
+
+    def test_flagged_degrees_on_stderr(self, coeff_file, tmp_path, capsys):
+        # kr0 = pi/20: degree 3 amplifies tangential-E noise by about 1.8e3
+        path, _ = coeff_file
+        field = tmp_path / "field.csv"
+        assert main(["synth", str(path), "--radius", "0.1", "--out", str(field)]) == EXIT_OK
+        capsys.readouterr()
+        main(["equiv", str(field), "--lmax", "3"])
+        data = read_field_file(field)
+        result = equivalence_report(data.samples("E"), data.samples("H"), 3)
+        flagged = sorted(set().union(*(r.flagged_degrees for r in result.reports())))
+        assert flagged == [3]
+        assert capsys.readouterr().err == (
+            f"ill-conditioned degrees (noise amplification > {FLAG_THRESHOLD:g}): {flagged}\n")
 
     def test_component_blindness_demo(self, coeff_file, tmp_path):
         # zero the tangential columns: the radial route still sees the full

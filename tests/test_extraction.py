@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import per_coefficient_error, random_coefficients
-from spheremodes import (CoefficientSet, EquivalenceResult, FieldSamples, Medium, make_grid,
-                         synthesize)
+from spheremodes import (CoefficientSet, EquivalenceResult, FieldSamples, Medium,
+                         coefficient_deviation, make_grid, synthesize)
 from spheremodes.extraction import (ConditioningWarning, equivalence_report, extract_radial,
                                     extract_tangential_e, extract_tangential_h,
                                     route_condition)
+from spheremodes.specfun import radial_factors
 
 
 @pytest.fixture
@@ -168,6 +169,16 @@ class TestConditioning:
         with pytest.raises(ValueError):
             route_condition("sideways", medium, 1.0, 5)
 
+    @pytest.mark.parametrize("l_max, kr0", [(6, 3.0), (16, 20.0), (16, 9.1), (10, 0.5)])
+    def test_route_condition_is_the_largest_divisor_magnitude(self, l_max, kr0):
+        h_l, d_l = radial_factors(l_max, kr0)
+        tangential = np.maximum(np.abs(h_l), np.abs(d_l))
+        want = {"radial": np.abs(h_l), "tangential-E": tangential, "tangential-H": tangential}
+        for route, mags in want.items():
+            cond = route_condition(route, Medium(k=kr0 / 2.0), 2.0, l_max)
+            assert list(cond) == list(range(1, l_max + 1))
+            assert np.array_equal(np.array(list(cond.values())), mags)
+
     @pytest.mark.parametrize("l_max", [0, -1])
     def test_rejects_degree_below_one(self, medium, l_max):
         with pytest.raises(ValueError, match=f"l_max must be >= 1, got {l_max}"):
@@ -184,12 +195,11 @@ class TestEquivalenceReport:
     def test_synthesized_fields_agree(self, medium, rng):
         c = random_coefficients(6, medium, rng)
         e, h = synthesized(c)
-        result = equivalence_report(e, h, 6, reference=c)
+        result = equivalence_report(e, h, 6)
         assert result.max_pairwise_deviation <= 1e-9
         assert len(result.pairwise_deviation) == 3
         for report in result.reports():
-            assert report.residuals is not None
-            assert report.residuals.max() <= 1e-9
+            assert coefficient_deviation(report.coeffs, c) <= 1e-9
             assert all(v > 0 for v in report.condition_indicators.values())
 
     def test_report_equals_single_routes_bit_for_bit(self):

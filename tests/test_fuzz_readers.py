@@ -3,8 +3,9 @@
 Valid coefficient and field files are truncated, have columns swapped, cells
 or whole columns blanked, lines dropped or repeated, and get NaN, 1e999,
 booleans and wrong types injected. The readers must raise FormatError or
-return valid data; `spheremodes synth` and `extract` must exit 0 or 1 and
-never end in an uncaught exception (a traceback).
+return valid data; `spheremodes synth`, `farfield` and `extract` must exit 0
+or 1, and `equiv` 0, 1 or 2 (a valid mutant may make the routes disagree),
+and none may end in an uncaught exception (a traceback).
 """
 
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import random_coefficients
 from spheremodes import CoefficientSet, Medium, make_grid, synthesize
-from spheremodes.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from spheremodes.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from spheremodes.fileio import (FIELD_COLUMNS, FormatError, read_coefficients,
                                 read_field_file, write_coefficients, write_field_file)
 
@@ -110,8 +111,8 @@ def _mutant(data, text, mutate, path):
 
 
 @FUZZ
-@given(data=st.data())
-def test_mutated_coefficient_files(valid, data):
+@given(data=st.data(), normalize=st.booleans())
+def test_mutated_coefficient_files(valid, data, normalize):
     coeff_text, _, work = valid
     path = _mutant(data, coeff_text, _mutate_json, work / "mutant.json")
     try:
@@ -124,8 +125,11 @@ def test_mutated_coefficient_files(valid, data):
         assert np.isfinite(frequency) and frequency > 0.0
         doc = json.loads(path.read_text())  # numbers were read from JSON numbers only
         assert {type(x) for x in (doc["frequency_hz"], *doc["medium"].values())} <= {int, float}
-    code = main(["synth", str(path), "--radius", "1.0", "--out", str(work / "synth.csv")])
-    assert code in ((EXIT_OK, EXIT_INPUT_ERROR) if readable else (EXIT_INPUT_ERROR,))
+    exits = (EXIT_OK, EXIT_INPUT_ERROR) if readable else (EXIT_INPUT_ERROR,)
+    assert main(["synth", str(path), "--radius", "1.0", "--out", str(work / "synth.csv")]) in exits
+    farfield = ["farfield", str(path), "--n-theta", "5", "--n-phi", "4",
+                "--out", str(work / "pattern.csv")]
+    assert main(farfield + (["--normalize"] if normalize else [])) in exits
 
 
 @FUZZ
@@ -147,3 +151,5 @@ def test_mutated_field_files(valid, data, route):
                                       and np.isfinite(column).all())
     code = main(["extract", str(path), "--route", route, "--out", str(work / "out.json")])
     assert code in ((EXIT_OK, EXIT_INPUT_ERROR) if readable else (EXIT_INPUT_ERROR,))
+    code = main(["equiv", str(path)])
+    assert code in ((EXIT_OK, EXIT_INPUT_ERROR, EXIT_TOLERANCE) if readable else (EXIT_INPUT_ERROR,))

@@ -133,6 +133,14 @@ class TestCoefficientSet:
         with pytest.raises(ValueError):
             CoefficientSet.from_modes(2, medium, electric={(0, 0): 1.0})
 
+    @pytest.mark.parametrize("l_max", [0, -1])
+    def test_rejects_degree_below_one(self, medium, l_max):
+        for build in (lambda: CoefficientSet(l_max, medium, [], []),
+                      lambda: CoefficientSet.zeros(l_max, medium),
+                      lambda: CoefficientSet.from_modes(l_max, medium)):
+            with pytest.raises(ValueError, match=f"l_max must be >= 1, got {l_max}"):
+                build()
+
     def test_immutable(self, medium):
         c = CoefficientSet.zeros(2, medium)
         with pytest.raises(ValueError):
@@ -405,6 +413,22 @@ class TestCoefficientDeviation:
         a = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0})
         b = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0 + 1e-10})
         assert coefficient_deviation(a, b) == pytest.approx(1e-10, rel=1e-4)
+
+    def test_residue_below_the_joint_floor_counts_as_zero(self, medium):
+        # the scale is the largest magnitude over both sets and both families,
+        # so magnetic residue 1e-13 against an electric 1.0 is below the floor
+        a = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0}, magnetic={(2, 1): 1e-13})
+        b = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0}, magnetic={(2, 1): -3e-13})
+        assert coefficient_deviation(a, b) == 0.0
+        assert coefficient_deviation(b, a) == 0.0
+
+    def test_residue_against_a_present_mode_registers_in_full(self, medium):
+        a = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0}, magnetic={(2, 1): 1e-13})
+        b = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0}, magnetic={(2, 1): 0.5})
+        assert coefficient_deviation(a, b) == pytest.approx(1.0, rel=1e-12)
+        # the same residue on one side of a pair just above the floor is a full deviation
+        c = CoefficientSet.from_modes(2, medium, electric={(1, 0): 1.0}, magnetic={(2, 1): 1e-11})
+        assert coefficient_deviation(a, c) == pytest.approx(0.99, rel=1e-12)
 
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
