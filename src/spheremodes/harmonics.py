@@ -10,12 +10,13 @@ and Y_lm r^ is the radial one. Each is a theta profile times e^{i m phi}, and
 synthesis, projection and the far field use three kinds of dot product
 (np.vecdot) of two contiguous rows: the phi step (n_phi terms), a phase row
 with one polar node's weighted samples; the theta step (n_theta), a mode's
-profile with its order's phi-step results; the degree step (3 l_max,
-order_sums), an order's weights with one polar angle's profiles. Each
-entry's bits depend only on its two rows, not on batching, sample layout or
-other columns; and OpenBLAS splits only dot products of more than 10 000
-terms across threads, so they do not depend on the BLAS thread count while
-n_theta, n_phi, 3 l_max <= 10 000.
+profile with its order's phi-step results; the degree step (order_sums,
+l_max terms for a radial component, 2 l_max for a tangential one), an
+order's weights with one polar angle's profiles. Each entry's bits depend
+only on its two rows, not on batching, sample layout or other columns; and
+OpenBLAS splits only dot products of more than 10 000 terms across threads,
+so they do not depend on the BLAS thread count while n_theta, n_phi,
+2 l_max <= 10 000.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import ModeIndex, legendre_theta_kernel, legendre_theta_modes
+from .specfun import ModeIndex, _read_only, legendre_theta_kernel, legendre_theta_modes
 
 PROJECTION_KINDS = ("X", "Z", "Yr")
 
@@ -54,16 +55,18 @@ def mode_slot(l, m):
     return l * l + l + m - 1
 
 
+@functools.cache
 def mode_degrees(l_max: int) -> np.ndarray:
-    """Degree l of every mode slot up to l_max, in storage order."""
+    """Degree l of every mode slot up to l_max, in storage order (read-only)."""
     ls = np.arange(1, l_max + 1)
-    return np.repeat(ls, 2 * ls + 1)
+    return _read_only(np.repeat(ls, 2 * ls + 1))[0]
 
 
+@functools.cache
 def mode_orders(l_max: int) -> np.ndarray:
-    """Order m of every mode slot up to l_max, in storage order."""
+    """Order m of every mode slot up to l_max, in storage order (read-only)."""
     l = mode_degrees(l_max)
-    return np.arange(len(l)) - l * l - l + 1
+    return _read_only(np.arange(len(l)) - l * l - l + 1)[0]
 
 
 def fixed_order_sum(values: np.ndarray):
@@ -118,9 +121,8 @@ class SphereGrid:
         largest degree asked for (which may differ from the grid's l_max)."""
         cached = self._basis_cache.get("basis")
         if cached is None or len(cached[1]) < 2 * l_max + 1:
-            cached = (theta_profiles(l_max, self.theta_nodes), phase_rows(l_max, self.phi_nodes))
-            for rows in cached:  # every grid at every radius shares these rows
-                rows.flags.writeable = False
+            cached = _read_only(theta_profiles(l_max, self.theta_nodes),  # shared by every
+                                phase_rows(l_max, self.phi_nodes))  # grid at every radius
             self._basis_cache["basis"] = cached
         profiles, phases = cached
         centre = len(phases) // 2
@@ -142,9 +144,7 @@ class SphereGrid:
 @functools.cache
 def _gauss_legendre(n: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
 def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
@@ -175,10 +175,8 @@ def make_grid(l_max: int, r0: float, n_theta: Optional[int] = None,
     theta_flat = np.repeat(theta_nodes, n_phi)
     phi_flat = np.tile(phi_nodes, n_theta)
     weights = np.repeat(w_theta * (2.0 * np.pi / n_phi), n_phi)
-    for arr in (theta_nodes, phi_nodes, theta_flat, phi_flat, weights):
-        arr.flags.writeable = False
     return SphereGrid(float(r0), int(l_max), int(n_theta), int(n_phi),
-                      theta_nodes, phi_nodes, theta_flat, phi_flat, weights)
+                      *_read_only(theta_nodes, phi_nodes, theta_flat, phi_flat, weights))
 
 
 @dataclass(frozen=True)
@@ -228,19 +226,21 @@ class FieldSamples:
         return self.values[:, 2]
 
 
-def _transverse(l, tau, pi_):
-    """theta profiles (pi / sqrt(l(l+1)), i tau / sqrt(l(l+1))) of degree l from
-    the kernel's (tau, pi): times e^{i m phi} they are (X_theta, X_phi), and
-    Z_lm = r^ x X_lm is (-X_phi, X_theta)."""
+def _transverse(l, tau, pi_, out):
+    """Write the theta profiles (pi, i tau) / sqrt(l(l+1)) of degree l into out[0] and
+    out[1], from the kernel's (tau, pi), and return out: times e^{i m phi} they are
+    (X_theta, X_phi), and Z_lm = r^ x X_lm is (-X_phi, X_theta)."""
     root = np.sqrt(l * (l + 1.0))
-    return pi_ / root, 1j * tau / root
+    out[0], out[1] = pi_ / root, 1j * tau / root
+    return out
 
 
 def vec_X(mode: ModeIndex, theta, phi) -> TangentialVector:
     """Transverse vector harmonic X_lm at (theta, phi); rejects l = 0 via ModeIndex."""
     _, tau, pi_ = legendre_theta_kernel(mode.l, mode.m, theta)
     phase = np.exp(1j * np.asarray(mode.m * np.asarray(phi, dtype=float)))
-    return TangentialVector(*(profile * phase for profile in _transverse(mode.l, tau, pi_)))
+    profiles = _transverse(mode.l, tau, pi_, np.empty((2,) + np.shape(tau), dtype=complex))
+    return TangentialVector(*(profile * phase for profile in profiles))
 
 
 def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:
@@ -252,10 +252,13 @@ def vec_Z(mode: ModeIndex, theta, phi) -> TangentialVector:
 def theta_profiles(l_max: int, theta) -> np.ndarray:
     """(modes, 3, len(theta)) theta profiles (n, pi/sqrt(l(l+1)),
     i tau/sqrt(l(l+1))) of (Y, X_theta, X_phi) for every mode up to l_max, in
-    mode_slot order, at the 1-d polar angles theta; stored complex."""
+    mode_slot order, at the 1-d polar angles theta; stored complex in one array."""
     l = mode_degrees(l_max)
     n, tau, pi_ = legendre_theta_modes(theta, l, mode_orders(l_max))
-    return np.stack([n, *_transverse(l[:, None], tau, pi_)], axis=1)
+    profiles = np.empty((len(l), 3) + n.shape[1:], dtype=complex)
+    profiles[:, 0] = n
+    _transverse(l[:, None], tau, pi_, profiles[:, 1:].swapaxes(0, 1))
+    return profiles
 
 
 def phase_rows(l_max: int, phi) -> np.ndarray:
@@ -263,16 +266,25 @@ def phase_rows(l_max: int, phi) -> np.ndarray:
     return np.exp(1j * np.arange(-l_max, l_max + 1)[:, None] * phi)
 
 
+@functools.cache
+def _order_slots(l_max: int):
+    """Read-only (live, slots), each (orders, l_max): slots[m + l_max, l - 1] is
+    mode_slot(l, m) where live (l >= |m|), else 0."""
+    m, l = np.arange(-l_max, l_max + 1)[:, None], np.arange(1, l_max + 1)
+    live = l >= np.abs(m)
+    return _read_only(live, np.where(live, mode_slot(l, m), 0))
+
+
 def order_sums(weights, profiles, l_max: int) -> np.ndarray:
     """(..., len(theta), 2 l_max + 1): entry [..., t, m + l_max] is
     Sum_{l, j} weights[..., j, slot(l, m)] profiles[slot(l, m), j, t] for
-    weights (..., 3, modes) and profiles theta_profiles(>= l_max, theta), one
-    dot product over the order's (l_max, 3) terms, zero-weighted for l < |m|."""
-    m, l = np.arange(-l_max, l_max + 1)[:, None], np.arange(1, l_max + 1)
-    live = l >= np.abs(m)
-    slots = np.where(live, mode_slot(l, m), 0)  # (orders, l_max); dead ones read slot 0
-    shape = (len(slots), 3 * l_max)  # each order's (l, j) terms in one contiguous row
-    rows = np.take(profiles.transpose(2, 0, 1), slots, axis=1).reshape(profiles.shape[2], *shape)
+    weights (..., kinds, modes) and profiles (modes, kinds, theta), the kinds a
+    caller weights of theta_profiles(>= l_max, theta): one dot product over
+    the order's kinds * l_max terms, zero-weighted only for l < |m|."""
+    live, slots = _order_slots(l_max)
+    kinds, n_theta = profiles.shape[1:]
+    shape = (len(slots), kinds * l_max)  # each order's (l, j) terms in one contiguous row
+    rows = np.take(profiles.transpose(2, 0, 1), slots, axis=1).reshape(n_theta, *shape)
     w = np.conj(np.moveaxis(np.where(live, weights[..., slots], 0), -3, -1))
     return np.vecdot(w.reshape(*w.shape[:-3], 1, *shape), rows)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .harmonics import (FieldSamples, GridResolutionWarning, SphereGrid,
                         fixed_order_sum, mode_count, mode_degrees, mode_slot, order_sums,
                         phase_rows, require_positive, theta_profiles)
-from .specfun import ModeIndex, radial_factors
+from .specfun import ModeIndex, _read_only, radial_factors
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 VACUUM_IMPEDANCE = 376.730313668  # ohm
@@ -71,14 +71,11 @@ class CoefficientSet:
 
     def __post_init__(self):
         n = mode_count(self.l_max)
-        a_e = np.array(self.a_e, dtype=complex)
-        a_m = np.array(self.a_m, dtype=complex)
+        a_e, a_m = _read_only(np.array(self.a_e, dtype=complex), np.array(self.a_m, dtype=complex))
         if a_e.shape != (n,) or a_m.shape != (n,):
             raise ValueError(f"coefficient arrays must have shape ({n},)")
         if not (np.isfinite(a_e.view(float)).all() and np.isfinite(a_m.view(float)).all()):
             raise ValueError("coefficients must be finite")
-        a_e.flags.writeable = False
-        a_m.flags.writeable = False
         object.__setattr__(self, "a_e", a_e)
         object.__setattr__(self, "a_m", a_m)
 
@@ -120,9 +117,6 @@ class CoefficientSet:
         return CoefficientSet(self.l_max, self.medium, scalar * self.a_e, scalar * self.a_m)
 
     __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return float(max(np.abs(self.a_e).max(), np.abs(self.a_m).max()))
 
 
 @dataclass(eq=False)
@@ -176,10 +170,10 @@ def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     # weights of (Y, X_theta, X_phi) in the (r, theta, phi) components of E and H
     u, v, s = med.z0 * a_m * f_x, med.z0 * a_e * f_z, med.z0 * a_e * f_rad
     p, q, t = a_e * f_x, -a_m * f_z, -a_m * f_rad
-    zero = np.zeros_like(u)
-    weights = np.array([[[s, zero, zero], [zero, u, -v], [zero, v, u]],
-                        [[t, zero, zero], [zero, p, -q], [zero, q, p]]])
-    sums = order_sums(weights, profiles, l_max)  # (E/H, r/theta/phi, theta node, order)
+    # (E/H, r/theta/phi, theta node, order): r reads Y, theta and phi (X_theta, X_phi)
+    sums = np.concatenate((order_sums(np.array([[[s]], [[t]]]), profiles[:, :1], l_max),
+                           order_sums(np.array([[[u, -v], [v, u]], [[p, -q], [q, p]]]),
+                                      profiles[:, 1:], l_max)), axis=1)
     fields = np.matmul(phases.T, sums.transpose(0, 2, 3, 1)).reshape(2, grid_at.n_nodes, 3)
     return (FieldSamples(grid_at, "E", fields[0], med), FieldSamples(grid_at, "H", fields[1], med))
 
@@ -216,9 +210,7 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
     scale = med.z0 * np.array([1, -1j, -1, 1j])[(l + 1) % 4]
     u, v = scale * coeffs.a_m, scale * coeffs.a_e  # Z0 (-i)^{l+1} a
     # u X - v Z with Z = (-X_phi, X_theta), in (E_theta, E_phi)
-    zero = np.zeros_like(u)
-    sums = order_sums(np.array([[zero, u, v], [zero, -v, u]]),
-                      theta_profiles(l_max, theta), l_max)
+    sums = order_sums(np.array([[u, v], [-v, u]]), theta_profiles(l_max, theta)[:, 1:], l_max)
     # vecdot conjugates its first operand: these rows are conj(e^{i m phi})
     phases = np.take(np.conj(phase_rows(l_max, phi)).T, phi_at, axis=0)
     e_theta, e_phi = np.vecdot(phases, np.take(sums, theta_at, axis=1))

@@ -14,6 +14,7 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,29 +41,50 @@ class ModeIndex:
             raise ValueError(f"mode order must satisfy |m| <= l, got (l={self.l}, m={self.m})")
 
 
+def _read_only(*arrays):
+    """The arrays, marked read-only: for results that every caller shares."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _legendre_constants(l_max: int):
+    """Read-only recurrence constants up to degree and order l_max: the sectoral
+    seeds q_mm, the step factors a[l, m] and b[l, m], and sqrt(2l + 1)."""
+    k = np.arange(1.0, l_max + 1.0)
+    seeds = np.cumprod(np.r_[1.0 / np.sqrt(FOUR_PI), -np.sqrt((2.0 * k + 1.0) / (2.0 * k))])
+    m, l = np.arange(l_max + 1.0), np.arange(l_max + 1.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= l - 1 go unused
+        a = np.sqrt((2.0 * l + 1.0) * (2.0 * l - 1.0) / ((l - m) * (l + m)))
+        b = np.sqrt((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
+                    / ((2.0 * l - 3.0) * (l - m) * (l + m)))
+    return _read_only(seeds, a, b, np.sqrt(2.0 * l[:, 0] + 1.0))
+
+
 def _scaled_legendre_table(l_max: int, m_max: int, x):
     """q[l, m] = (normalized P_l^m(x)) / (1-x^2)^{m/2} for l <= l_max and
     m <= m_max, shaped (l_max + 1, m_max + 1) + x.shape, zero where m > l.
 
     Dividing out sin^m(theta) keeps q finite at the poles, so callers reapply
     exactly the power they need (no 1/sin(theta) anywhere). The sectoral seeds
-    q_mm are one cumulative product; then one fully normalized three-term step
-    per degree advances every order at once: O(l_max) Python-level steps.
+    q_mm and the first off-diagonal q[l, l-1] = sqrt(2l+1) x q[l-1, l-1] are
+    set in one array step each, from constants cached per l_max; then one
+    fully normalized three-term step per degree advances every lower order
+    at once: O(l_max) Python-level steps.
     """
     x = np.asarray(x, dtype=float)
     q = np.zeros((l_max + 1, m_max + 1) + x.shape)
-    k = np.arange(1.0, min(l_max, m_max) + 1.0)
-    seeds = np.cumprod(np.r_[1.0 / np.sqrt(FOUR_PI), -np.sqrt((2.0 * k + 1.0) / (2.0 * k))])
-    q[np.diag_indices(len(seeds))] = seeds.reshape((-1,) + (1,) * x.ndim)
-    m = np.arange(m_max + 1.0).reshape((-1,) + (1,) * x.ndim)
-    l = np.arange(l_max + 1.0).reshape((-1, 1) + (1,) * x.ndim)
-    with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= l - 1 go unused
-        a = np.sqrt((2.0 * l + 1.0) * (2.0 * l - 1.0) / ((l - m) * (l + m)))
-        b = np.sqrt((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
-                    / ((2.0 * l - 3.0) * (l - m) * (l + m)))
-    for ll in range(1, l_max + 1):  # slices past m_max are empty
-        q[ll, ll - 1:ll] = np.sqrt(2.0 * ll + 1.0) * x * q[ll - 1, ll - 1:ll]
-        q[ll, :ll - 1] = (a[ll, :ll - 1] * x * q[ll - 1, :ll - 1]
+    grow = (...,) + (None,) * x.ndim
+    seeds, a, b, root = _legendre_constants(l_max)
+    diag = np.arange(min(l_max, m_max) + 1)
+    q[diag, diag] = seeds[diag][grow]
+    ll = np.arange(1, min(l_max, m_max + 1) + 1)
+    q[ll, ll - 1] = root[ll][grow] * x * q[ll - 1, ll - 1]
+    with np.errstate(invalid="ignore"):  # inf * 0 at x = 0, in entries m >= l - 1
+        ax, b = a[:, :m_max + 1][grow] * x, b[:, :m_max + 1][grow]
+    for ll in range(2, l_max + 1):  # slices past m_max are empty
+        q[ll, :ll - 1] = (ax[ll, :ll - 1] * q[ll - 1, :ll - 1]
                           - b[ll, :ll - 1] * q[ll - 2, :ll - 1])
     return q
 
@@ -161,8 +183,9 @@ def _hankel1_upto(l_max: int, x):
     h[0] = -1j * ex / x
     if l_max >= 1:
         h[1] = -ex * (1.0 + 1j / x) / x
+    step = np.arange(3.0, 2.0 * l_max, 2.0).reshape((-1,) + (1,) * x.ndim) / x  # (2l+1)/x
     for ll in range(1, l_max):
-        h[ll + 1] = (2.0 * ll + 1.0) / x * h[ll] - h[ll - 1]
+        h[ll + 1] = step[ll - 1] * h[ll] - h[ll - 1]
     return h
 
 

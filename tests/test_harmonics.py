@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from spheremodes import CoefficientSet, Medium, radiated_power, synthesize
 from spheremodes.harmonics import (PROJECTION_KINDS, FieldSamples, GridResolutionWarning,
-                                   fixed_order_sum, make_grid, mode_count, project,
-                                   project_all, vec_X, vec_Z)
-from spheremodes.specfun import ModeIndex, sph_harmonic
+                                   _order_slots, fixed_order_sum, make_grid, mode_count,
+                                   mode_degrees, mode_orders, mode_slot, order_sums, project,
+                                   project_all, theta_profiles, vec_X, vec_Z)
+from spheremodes.specfun import ModeIndex, _legendre_constants, sph_harmonic
 
 FOUR_PI = 4.0 * np.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,6 +248,42 @@ class TestFieldSamples:
         assert np.array_equal(samples.radial, values[:, 0])
         assert np.array_equal(samples.theta, values[:, 1])
         assert np.array_equal(samples.phi, values[:, 2])
+
+
+class TestOrderSums:
+    @pytest.mark.parametrize("l_max,profile_degree", [(1, 1), (7, 7), (6, 9)])
+    def test_kind_subsets_match_all_kinds_with_zero_weights(self, l_max, profile_degree):
+        rng = np.random.default_rng(l_max)
+        theta = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0.0, np.pi, 6)])
+        profiles = theta_profiles(profile_degree, theta)
+        n = mode_count(l_max)
+        for kinds in ([0], [1, 2], [0, 1, 2], [2]):
+            weights = rng.normal(size=(2, 2, len(kinds), n)) + 1j * rng.normal(
+                size=(2, 2, len(kinds), n))
+            full = np.zeros((2, 2, 3, n), complex)
+            full[:, :, kinds] = weights
+            got = order_sums(weights, profiles[:, kinds], l_max)
+            want = order_sums(full, profiles, l_max)
+            assert got.shape == want.shape == (2, 2, theta.size, 2 * l_max + 1)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            # each entry is its order's sum over the degrees l >= max(|m|, 1)
+            for m in range(-l_max, l_max + 1):
+                slots = [mode_slot(l, m) for l in range(max(abs(m), 1), l_max + 1)]
+                ref = np.einsum("abjs,sjt->abt", weights[..., slots],
+                                profiles[slots][:, kinds])
+                assert np.allclose(got[..., m + l_max], ref, rtol=0.0,
+                                   atol=1e-14 * np.abs(ref).max())
+
+    def test_per_degree_tables_are_cached_read_only(self):
+        assert mode_degrees(2).tolist() == [1, 1, 1, 2, 2, 2, 2, 2]
+        assert mode_orders(2).tolist() == [-1, 0, 1, -2, -1, 0, 1, 2]
+        for table in (mode_degrees, mode_orders, _order_slots, _legendre_constants):
+            first = table(9)
+            assert table(9) is first
+            for arr in first if isinstance(first, tuple) else (first,):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
 
 
 class TestBasisTable:

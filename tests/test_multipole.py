@@ -70,6 +70,28 @@ class TestAgainstPerModeSums:
         assert np.abs(e.values - ref_e).max() <= 1e-13 * np.abs(ref_e).max()
         assert np.abs(h.values - ref_h).max() <= 1e-13 * np.abs(ref_h).max()
 
+    @pytest.mark.parametrize("l_max", [12, 16])
+    def test_synthesize_against_mode_basis_rows(self, rng, l_max):
+        med = Medium(k=0.9 * l_max)
+        c = random_coefficients(l_max, med, rng)
+        grid = make_grid(l_max, 1.0)
+        e, h = synthesize(c, 1.2, grid)
+        x = med.k * 1.2
+        ref_e = np.zeros((grid.n_nodes, 3), complex)
+        ref_h = np.zeros((grid.n_nodes, 3), complex)
+        for mode in modes_upto(l_max):
+            a_e, a_m = c.electric(mode.l, mode.m), c.magnetic(mode.l, mode.m)
+            h_l, d_l = sph_hankel1(mode.l, x), riccati_h1_deriv(mode.l, x)
+            y, x_theta, x_phi, z_theta, z_phi = grid.mode_basis(mode)
+            xs, zs = np.column_stack([x_theta, x_phi]), np.column_stack([z_theta, z_phi])
+            f_rad, f_z = np.sqrt(mode.l * (mode.l + 1.0)) * h_l / x, 1j * d_l / x
+            ref_e[:, 0] += med.z0 * a_e * f_rad * y
+            ref_e[:, 1:] += med.z0 * (a_e * f_z * zs + a_m * h_l * xs)
+            ref_h[:, 0] -= a_m * f_rad * y
+            ref_h[:, 1:] += a_e * h_l * xs - a_m * f_z * zs
+        assert np.abs(e.values - ref_e).max() <= 1e-13 * np.abs(ref_e).max()
+        assert np.abs(h.values - ref_h).max() <= 1e-13 * np.abs(ref_h).max()
+
     @pytest.mark.parametrize("l_max", [1, 3, 8])
     def test_far_field(self, medium, rng, l_max):
         c = random_coefficients(l_max, medium, rng)
