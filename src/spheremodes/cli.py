@@ -21,7 +21,7 @@ from .extraction import (FLAG_THRESHOLD, equivalence_report, extract_radial,
 from .fileio import (FIELD_COLUMNS, FormatError, read_coefficients, read_field_file,
                      write_coefficients, write_field_file, write_pattern_csv)
 from .harmonics import make_grid, require_positive
-from .multipole import SPEED_OF_LIGHT, duality, far_field, mode_slot, modes_upto, synthesize
+from .multipole import SPEED_OF_LIGHT, far_field, mode_slot, modes_upto, synthesize
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -40,6 +40,11 @@ def _pattern_directions(n_theta: int, n_phi: int):
     theta = (np.arange(n_theta) * np.pi) / (n_theta - 1)
     phi = (np.arange(n_phi) * (2.0 * np.pi)) / n_phi
     return np.column_stack([np.repeat(theta, n_phi), np.tile(phi, n_theta)])
+
+
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise InputError(f"--tol must be finite and >= 0, got {tol}")
 
 
 def cmd_synth(args) -> int:
@@ -90,6 +95,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _check_tolerance(args.tol)
     data, l_max = _checked_field_data(args.field_file, FIELD_COLUMNS, args.lmax)
     result = equivalence_report(data.samples("E"), data.samples("H"), l_max)
     print("l m route aE_re aE_im aM_re aM_im")
@@ -121,28 +127,22 @@ def cmd_farfield(args) -> int:
 def cmd_dipole(args) -> int:
     require_positive("current", args.current)
     require_positive("frequency", args.freq)
+    _check_tolerance(args.tol)
     spec = dipole_mod.DipoleSpec(args.current, SPEED_OF_LIGHT / args.freq)
-
-    grid = make_grid(args.grid_lmax, spec.source_radius)
-    source = dipole_mod.radial_source_on_sphere(spec, grid)
-    write_field_file(f"{args.out_prefix}_radial_source.csv", source, None, args.freq)
-
-    result = dipole_mod.validate_roundtrip(spec, grid_l_max=args.grid_lmax,
-                                           n_theta=args.n_theta)
-    phi = np.zeros_like(result.theta)
-    for name, coeffs in (("direct", result.coeffs_direct), ("from_radial", result.coeffs_recovered),
-                         ("dual", duality(result.coeffs_direct))):
-        pattern = far_field(coeffs, np.column_stack([result.theta, phi]))
-        write_pattern_csv(f"{args.out_prefix}_farfield_{name}.csv", result.theta, phi,
+    report = dipole_mod.validate_dipole(spec, grid_l_max=args.grid_lmax, n_theta=args.n_theta)
+    write_field_file(f"{args.out_prefix}_radial_source.csv", report.source, None, args.freq)
+    for name, pattern in (("direct", report.direct), ("from_radial", report.recovered),
+                          ("dual", report.dual)):
+        write_pattern_csv(f"{args.out_prefix}_farfield_{name}.csv", *pattern.directions.T,
                           pattern.e_theta, pattern.e_phi, normalize=True)
-
-    dual = dipole_mod.magnetic_dipole_variant(spec, grid_l_max=args.grid_lmax,
-                                              n_theta=args.n_theta)
-    print(f"roundtrip_rms_deviation={result.rms_deviation:.6e}")
-    print(f"e_phi_negligible={'true' if result.e_phi_negligible else 'false'}")
-    print(f"dual_radial_h_mismatch={dual.radial_h_mismatch:.6e}")
-    print(f"dual_pattern_swap_mismatch={dual.pattern_swap_mismatch:.6e}")
-    return EXIT_OK if result.rms_deviation <= args.tol else EXIT_TOLERANCE
+    print(f"roundtrip_rms_deviation={report.rms_deviation:.6e}")
+    print(f"e_phi_negligible={'true' if report.e_phi_negligible else 'false'}")
+    print(f"dual_radial_h_mismatch={report.radial_h_mismatch:.6e}")
+    print(f"dual_pattern_swap_mismatch={report.pattern_swap_mismatch:.6e}")
+    print(f"e_phi_peak_direct={report.e_phi_peak_direct:.6e}")
+    print(f"e_phi_peak_recovered={report.e_phi_peak_recovered:.6e}")
+    print(f"dual_e_theta_peak={report.dual_e_theta_peak:.6e}")
+    return EXIT_OK if report.rms_deviation <= args.tol else EXIT_TOLERANCE
 
 
 @functools.cache  # one parser per process; parse_args keeps no state between calls
@@ -199,9 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (InputError, FormatError, OSError, ValueError) as exc:
+    try:  # an overflow here means an input out of range, e.g. h_l(k r) at a tiny radius
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (InputError, FormatError, OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -1,4 +1,4 @@
-"""Half-wave dipole validation harness.
+"""Half-wave dipole validation run.
 
 A center-fed half-wave dipole with a sinusoidal current carries odd-degree,
 m = 0 electric multipoles only; truncated at degree 5 the set is
@@ -7,12 +7,13 @@ m = 0 electric multipoles only; truncated at degree 5 the set is
     a_E(3,0) = 49.5e-3  a_E(1,0)
     a_E(5,0) = 1.02e-3  a_E(1,0)
 
-The harness synthesizes the radial electric field on the lambda/4 sphere
-(the "source" data), recovers the coefficients from radial components alone,
-and compares the recomputed far field against the coefficient-direct one.
-All pattern comparisons are peak-normalized: the amplitude convention above
-is A/m rather than the V/m the synthesis constant implies, so only pattern
-shape is meaningful.
+validate_dipole makes the whole run on one grid on the lambda/4 sphere: it
+synthesizes the dipole, its magnetic-dipole dual and the double dual once
+each, recovers the coefficients from the radial columns alone (the "source"
+data), and compares the far field rebuilt from them, and that of the dual,
+against the coefficient-direct one. All pattern comparisons are
+peak-normalized: the amplitude convention above is A/m rather than the V/m
+the synthesis constant implies, so only pattern shape is meaningful.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .extraction import extract_radial
 from .harmonics import FieldSamples, SphereGrid, make_grid, require_positive
-from .multipole import CoefficientSet, Medium, duality, far_field, synthesize
+from .multipole import (CoefficientSet, FarFieldPattern, Medium, duality, far_field,
+                        synthesize)
 
 DIPOLE_L_MAX = 5
 DEGREE3_RATIO = 49.5e-3
@@ -50,25 +52,19 @@ class DipoleSpec:
 
 
 @dataclass(eq=False)
-class RoundTripResult:
-    """Far field two ways: direct from the dipole coefficients, and from
-    radial-only data on the lambda/4 sphere."""
+class DipoleReport:
+    """One half-wave dipole run: the radial source data, the far fields direct,
+    rebuilt from that data and of the dual, and the checks on them."""
 
-    theta: np.ndarray
-    e_theta_direct: np.ndarray
-    e_theta_recovered: np.ndarray
+    source: FieldSamples
+    coeffs_recovered: CoefficientSet
+    direct: FarFieldPattern
+    recovered: FarFieldPattern
+    dual: FarFieldPattern
     rms_deviation: float
     e_phi_peak_direct: float
     e_phi_peak_recovered: float
     e_phi_negligible: bool
-    coeffs_direct: CoefficientSet
-    coeffs_recovered: CoefficientSet
-
-
-@dataclass(eq=False)
-class DualityResult:
-    """Checks of the magnetic-dipole dual against the electric original."""
-
     radial_h_mismatch: float
     dual_e_theta_peak: float
     pattern_swap_mismatch: float
@@ -84,6 +80,13 @@ def halfwave_coeffs(spec: DipoleSpec) -> CoefficientSet:
         electric={(1, 0): a1, (3, 0): DEGREE3_RATIO * a1, (5, 0): DEGREE5_RATIO * a1})
 
 
+def _radial_only(samples: FieldSamples) -> FieldSamples:
+    """The samples with their tangential columns zeroed."""
+    values = np.zeros_like(samples.values)
+    values[:, 0] = samples.values[:, 0]
+    return FieldSamples(samples.grid, samples.field_kind, values, samples.medium)
+
+
 def radial_source_on_sphere(spec: DipoleSpec, grid: SphereGrid) -> FieldSamples:
     """The radial electric field on the lambda/4 sphere, tangential columns
     zeroed: the 'source' data the round trip starts from."""
@@ -92,82 +95,43 @@ def radial_source_on_sphere(spec: DipoleSpec, grid: SphereGrid) -> FieldSamples:
             f"grid radius {grid.r0} is not the quarter-wave sphere {spec.source_radius}")
     if grid.l_max < DIPOLE_L_MAX:
         raise ValueError(f"grid exactness {grid.l_max} below dipole degree {DIPOLE_L_MAX}")
+    return _radial_only(synthesize(halfwave_coeffs(spec), spec.source_radius, grid)[0])
+
+
+def validate_dipole(spec: DipoleSpec, grid_l_max: int = 8, n_theta: int = 181) -> DipoleReport:
+    """The round trip and the duality checks on one grid of degree grid_l_max,
+    patterns at n_theta midpoint polar angles in (0, pi) at phi = 0. Checked:
+    peak-normalized |E_theta| recovered against direct (RMS relative to the
+    direct RMS); H_r of the dual against E_r/Z0; the dual pattern's swapped
+    polarization; duality applied twice negating the fields."""
+    if grid_l_max < DIPOLE_L_MAX:
+        raise ValueError(f"grid exactness {grid_l_max} below dipole degree {DIPOLE_L_MAX}")
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
     coeffs = halfwave_coeffs(spec)
-    e, _ = synthesize(coeffs, spec.source_radius, grid)
-    radial_only = np.zeros_like(e.values)
-    radial_only[:, 0] = e.values[:, 0]
-    return FieldSamples(e.grid, "E", radial_only, e.medium)
-
-
-def _pattern_thetas(n_theta: int) -> np.ndarray:
-    """Midpoint sampling of theta strictly inside (0, pi)."""
-    return (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-
-
-def validate_roundtrip(spec: DipoleSpec, grid_l_max: int = 8,
-                       n_theta: int = 181) -> RoundTripResult:
-    """Compare far fields from the coefficients directly and from radial-only
-    data on the lambda/4 sphere.
-
-    The deviation is the RMS of the difference of peak-normalized |E_theta|
-    over theta in (0, pi), relative to the RMS of the direct pattern.
-    """
-    coeffs = halfwave_coeffs(spec)
+    dual = duality(coeffs)
     grid = make_grid(grid_l_max, spec.source_radius)
-    e, h = synthesize(coeffs, spec.source_radius, grid)
-    e_radial = np.zeros_like(e.values)
-    e_radial[:, 0] = e.values[:, 0]
-    h_radial = np.zeros_like(h.values)
-    h_radial[:, 0] = h.values[:, 0]
-    recovered = extract_radial(FieldSamples(e.grid, "E", e_radial, e.medium),
-                               FieldSamples(h.grid, "H", h_radial, h.medium),
-                               DIPOLE_L_MAX)
-    theta = _pattern_thetas(n_theta)
+    (e0, h0), (e1, h1), (e2, h2) = (synthesize(c, spec.source_radius, grid)
+                                    for c in (coeffs, dual, duality(dual)))
+    source = _radial_only(e0)
+    recovered = extract_radial(source, _radial_only(h0), DIPOLE_L_MAX)
+    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     directions = np.column_stack([theta, np.zeros_like(theta)])
-    direct = far_field(coeffs, directions)
-    redone = far_field(recovered, directions)
+    direct, redone, dual_far = (far_field(c, directions) for c in (coeffs, recovered, dual))
     norm_direct = np.abs(direct.e_theta) / np.abs(direct.e_theta).max()
     norm_redone = np.abs(redone.e_theta) / np.abs(redone.e_theta).max()
     rms = float(np.sqrt(np.mean((norm_direct - norm_redone) ** 2))
                 / np.sqrt(np.mean(norm_direct**2)))
     peak = np.abs(direct.e_theta).max()
-    e_phi_direct = float(np.abs(direct.e_phi).max() / peak)
-    e_phi_redone = float(np.abs(redone.e_phi).max() / peak)
-    return RoundTripResult(theta, direct.e_theta, redone.e_theta, rms,
-                           e_phi_direct, e_phi_redone,
-                           e_phi_direct <= 1e-12 and e_phi_redone <= 1e-12,
-                           coeffs, recovered)
-
-
-def magnetic_dipole_variant(spec: DipoleSpec, grid_l_max: int = 8,
-                            n_theta: int = 181) -> DualityResult:
-    """Apply the duality transform and verify the printed field relations:
-    H_r of the dual equals E_r/Z0 of the original, the dual far field swaps
-    the polarization roles, four applications of duality restore the fields
-    (two negate them)."""
-    coeffs = halfwave_coeffs(spec)
-    dual = duality(coeffs)
-    grid = make_grid(grid_l_max, spec.source_radius)
-    e0, h0 = synthesize(coeffs, spec.source_radius, grid)
-    e1, h1 = synthesize(dual, spec.source_radius, grid)
+    e_phi_direct, e_phi_redone = (float(np.abs(p.e_phi).max() / peak) for p in (direct, redone))
     z0 = coeffs.medium.z0
     scale = np.abs(e0.values[:, 0]).max() / z0
-    radial_h_mismatch = float(np.abs(h1.values[:, 0] - e0.values[:, 0] / z0).max() / scale)
-
-    theta = _pattern_thetas(n_theta)
-    directions = np.column_stack([theta, np.zeros_like(theta)])
-    p0 = far_field(coeffs, directions)
-    p1 = far_field(dual, directions)
-    peak = np.abs(p0.e_theta).max()
-    dual_e_theta_peak = float(np.abs(p1.e_theta).max() / peak)
-    pattern_swap_mismatch = float(
-        np.abs(np.abs(p1.e_phi) - np.abs(p0.e_theta)).max() / peak)
-
-    twice = duality(dual)
-    e2, h2 = synthesize(twice, spec.source_radius, grid)
     field_scale = max(np.abs(e0.values).max(), z0 * np.abs(h0.values).max())
-    double_dual_residual = float(max(
-        np.abs(e2.values + e0.values).max(),
-        z0 * np.abs(h2.values + h0.values).max()) / field_scale)
-    return DualityResult(radial_h_mismatch, dual_e_theta_peak,
-                         pattern_swap_mismatch, double_dual_residual)
+    return DipoleReport(
+        source, recovered, direct, redone, dual_far, rms, e_phi_direct, e_phi_redone,
+        e_phi_direct <= 1e-12 and e_phi_redone <= 1e-12,
+        float(np.abs(h1.values[:, 0] - e0.values[:, 0] / z0).max() / scale),
+        float(np.abs(dual_far.e_theta).max() / peak),
+        float(np.abs(np.abs(dual_far.e_phi) - np.abs(direct.e_theta)).max() / peak),
+        float(max(np.abs(e2.values + e0.values).max(),
+                  z0 * np.abs(h2.values + h0.values).max()) / field_scale))

@@ -31,6 +31,7 @@ from .specfun import ModeIndex, _read_only, radial_factors
 SPEED_OF_LIGHT = 299792458.0  # m/s
 VACUUM_IMPEDANCE = 376.730313668  # ohm
 ZERO_FLOOR = 1e-12  # coefficient_deviation: below this fraction of the joint scale is zero
+FAR_FIELD_BLOCK = 4096  # far_field takes its last step this many directions at a time
 
 
 def modes_upto(l_max: int) -> list[ModeIndex]:
@@ -212,9 +213,11 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
     # u X - v Z with Z = (-X_phi, X_theta), in (E_theta, E_phi)
     sums = order_sums(np.array([[u, v], [-v, u]]), theta_profiles(l_max, theta)[:, 1:], l_max)
     # vecdot conjugates its first operand: these rows are conj(e^{i m phi})
-    phases = np.take(np.conj(phase_rows(l_max, phi)).T, phi_at, axis=0)
-    e_theta, e_phi = np.vecdot(phases, np.take(sums, theta_at, axis=1))
-    return FarFieldPattern(directions, e_theta, e_phi, med.z0)
+    phases = np.conj(phase_rows(l_max, phi)).T
+    pattern = np.empty((2, len(directions)), complex)
+    for b in (slice(i, i + FAR_FIELD_BLOCK) for i in range(0, len(directions), FAR_FIELD_BLOCK)):
+        np.vecdot(phases[phi_at[b]], np.take(sums, theta_at[b], axis=1), out=pattern[:, b])
+    return FarFieldPattern(directions, *pattern, med.z0)
 
 
 def duality(coeffs: CoefficientSet) -> CoefficientSet:

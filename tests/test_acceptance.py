@@ -12,7 +12,7 @@ import pytest
 from helpers import per_coefficient_error, random_coefficients
 from spheremodes import (CoefficientSet, FieldSamples, Medium, ModeIndex, far_field,
                          make_grid, modes_upto, project, radiated_power, synthesize)
-from spheremodes.dipole import DipoleSpec, magnetic_dipole_variant, validate_roundtrip
+from spheremodes.dipole import DipoleSpec, validate_dipole
 from spheremodes.extraction import (equivalence_report, extract_radial, extract_tangential_e,
                                     extract_tangential_h)
 from spheremodes.specfun import riccati_h1_deriv
@@ -117,7 +117,7 @@ def test_criterion_4_halfwave_dipole():
     coefficient-direct pattern: RMS deviation of normalized |E_theta| <= 1e-9,
     |E_phi| <= 1e-12 of peak in both, in under a second."""
     start = time.process_time()
-    result = validate_roundtrip(DipoleSpec(1.0, 1.0))
+    result = validate_dipole(DipoleSpec(1.0, 1.0))
     elapsed = time.process_time() - start
     assert result.rms_deviation <= 1e-9
     assert result.e_phi_peak_direct <= 1e-12
@@ -131,7 +131,7 @@ def test_criterion_4_halfwave_dipole():
 def test_criterion_5_magnetic_duality():
     """H_r of the dual equals E_r/Z0 of the original to 1e-12 of peak, and the
     dual far field carries the swapped polarization."""
-    result = magnetic_dipole_variant(DipoleSpec(1.0, 1.0))
+    result = validate_dipole(DipoleSpec(1.0, 1.0))
     assert result.radial_h_mismatch <= 1e-12
     assert result.dual_e_theta_peak <= 1e-12
     assert result.pattern_swap_mismatch <= 1e-10

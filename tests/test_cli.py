@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import per_coefficient_error, random_coefficients
-from spheremodes import CoefficientSet, Medium, cli, harmonics, make_grid, synthesize
+from spheremodes import CoefficientSet, Medium, cli, dipole, harmonics, make_grid, synthesize
 from spheremodes.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from spheremodes.dipole import DipoleSpec, radial_source_on_sphere
 from spheremodes.extraction import FLAG_THRESHOLD, equivalence_report
@@ -70,6 +70,14 @@ class TestSynth:
                      "--out", str(tmp_path / "f.csv")]) == EXIT_INPUT_ERROR
         assert "radius must be finite" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
+
+    def test_radius_whose_hankel_values_overflow(self, coeff_file, tmp_path, capsys):
+        path, _ = coeff_file
+        out = tmp_path / "field.csv"
+        assert main(["synth", str(path), "--radius", "1e-300",
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: overflow")
+        assert not out.exists()
 
     def test_rejects_missing_file(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), "--radius", "1.0",
@@ -386,8 +394,53 @@ class TestDipoleCommand:
         assert main(["dipole", "--current", "0.0",
                      "--out-prefix", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
 
-    @pytest.mark.parametrize("flag", ["--freq", "--current"])
-    def test_rejects_non_finite_parameters(self, tmp_path, flag):
-        assert main(["dipole", flag, "nan",
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--freq", "nan", id="--freq"),
+        pytest.param("--current", "nan", id="--current"),
+        pytest.param("--n-theta", "0", id="--n-theta-0"),
+        pytest.param("--n-theta", "-2", id="--n-theta--2")])
+    def test_rejects_non_finite_parameters(self, tmp_path, capsys, flag, value):
+        assert main(["dipole", f"{flag}={value}",
                      "--out-prefix", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
+
+    def test_pattern_files_have_a_row_per_angle(self, tmp_path):
+        main(["dipole", "--n-theta", "37", "--out-prefix", str(tmp_path / "d")])
+        for tag in ("direct", "from_radial", "dual"):
+            lines = (tmp_path / f"d_farfield_{tag}.csv").read_text().splitlines()
+            assert lines[0].startswith("theta_rad,phi_rad,")
+            assert len(lines) == 1 + 37
+
+    def test_one_grid_and_each_synthesis_and_pattern_once(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            inner = getattr(dipole, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("make_grid", "synthesize", "extract_radial", "far_field"):
+            monkeypatch.setattr(dipole, name, counted(name))
+        assert main(["dipole", "--out-prefix", str(tmp_path / "d")]) == EXIT_OK
+        assert calls == {"make_grid": 1, "synthesize": 3, "extract_radial": 1, "far_field": 3}
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "inf"])
+@pytest.mark.parametrize("command", ["equiv", "dipole"])
+def test_tolerance_must_be_a_finite_number_at_least_zero(coeff_file, tmp_path, capsys,
+                                                         command, tol):
+    path, _ = coeff_file
+    field = tmp_path / "field.csv"
+    main(["synth", str(path), "--radius", "1.0", "--out", str(field)])
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ([str(field), "--lmax", "3"] if command == "equiv"
+            else ["--out-prefix", str(out / "d")])
+    assert main([command, *args, f"--tol={tol}"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: --tol must be finite and >= 0")
+    assert not list(out.iterdir())
+    assert main([command, *args, "--tol=0"]) in (EXIT_OK, EXIT_TOLERANCE)

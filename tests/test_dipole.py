@@ -1,12 +1,11 @@
-"""Half-wave dipole harness: coefficients, radial source, round trip, duality."""
+"""Half-wave dipole run: coefficients, radial source, round trip, duality."""
 
 import numpy as np
 import pytest
 
 from spheremodes import make_grid
 from spheremodes.dipole import (DIPOLE_L_MAX, DipoleSpec, halfwave_coeffs,
-                                magnetic_dipole_variant, radial_source_on_sphere,
-                                validate_roundtrip)
+                                radial_source_on_sphere, validate_dipole)
 from spheremodes.multipole import modes_upto
 
 
@@ -100,24 +99,23 @@ class TestRadialSource:
 
 class TestRoundTrip:
     def test_deviation_at_roundoff(self, spec):
-        result = validate_roundtrip(spec)
+        result = validate_dipole(spec)
         assert result.rms_deviation <= 1e-9
         assert result.e_phi_negligible
         assert result.e_phi_peak_direct <= 1e-12
         assert result.e_phi_peak_recovered <= 1e-12
 
     def test_recovered_coefficients_match(self, spec):
-        result = validate_roundtrip(spec)
-        want = result.coeffs_direct
-        got = result.coeffs_recovered
+        want = halfwave_coeffs(spec)
+        got = validate_dipole(spec).coeffs_recovered
         scale = max(np.abs(want.a_e).max(), np.abs(want.a_m).max())
         assert np.abs(got.a_e - want.a_e).max() <= 1e-10 * scale
         assert np.abs(got.a_m).max() <= 1e-10 * scale
 
     def test_pattern_peak_broadside_and_symmetric(self, spec):
-        result = validate_roundtrip(spec, n_theta=181)
-        mags = np.abs(result.e_theta_direct)
-        peak_theta = result.theta[np.argmax(mags)]
+        report = validate_dipole(spec, n_theta=181)
+        mags = np.abs(report.direct.e_theta)
+        peak_theta = report.direct.directions[np.argmax(mags), 0]
         assert abs(peak_theta - np.pi / 2) <= np.pi / 181
         assert np.abs(mags - mags[::-1]).max() <= 1e-12 * mags.max()
 
@@ -129,31 +127,43 @@ class TestRoundTrip:
         assert np.abs(pattern.e_phi).max() == 0.0
 
     def test_grid_converged(self, spec):
-        d1 = validate_roundtrip(spec, grid_l_max=8).rms_deviation
-        d2 = validate_roundtrip(spec, grid_l_max=16).rms_deviation
+        d1 = validate_dipole(spec, grid_l_max=8).rms_deviation
+        d2 = validate_dipole(spec, grid_l_max=16).rms_deviation
         # both sit at the roundoff floor, far below the 1e-9 gate; doubling
         # the grid may only move the report within that floor
         assert abs(d2 - d1) <= max(1e-3 * d1, 1e-12)
 
+    def test_source_is_the_radial_source(self, spec):
+        report = validate_dipole(spec, grid_l_max=8)
+        want = radial_source_on_sphere(spec, make_grid(8, spec.source_radius))
+        assert np.array_equal(report.source.values, want.values)
+
+    @pytest.mark.parametrize("grid_l_max, n_theta, match", [
+        (4, 181, "below dipole degree"), (8, 0, "n_theta must be >= 1"),
+        (8, -2, "n_theta must be >= 1")])
+    def test_rejects_coarse_grid_or_no_angles(self, spec, grid_l_max, n_theta, match):
+        with pytest.raises(ValueError, match=match):
+            validate_dipole(spec, grid_l_max=grid_l_max, n_theta=n_theta)
+
     def test_deterministic(self, spec):
-        r1 = validate_roundtrip(spec)
-        r2 = validate_roundtrip(spec)
+        r1 = validate_dipole(spec)
+        r2 = validate_dipole(spec)
         assert r1.rms_deviation == r2.rms_deviation
-        assert np.array_equal(r1.e_theta_recovered, r2.e_theta_recovered)
+        assert np.array_equal(r1.recovered.e_theta, r2.recovered.e_theta)
 
 
 class TestMagneticVariant:
     def test_dual_radial_h_matches(self, spec):
-        result = magnetic_dipole_variant(spec)
+        result = validate_dipole(spec)
         assert result.radial_h_mismatch <= 1e-12
 
     def test_polarization_roles_swap(self, spec):
-        result = magnetic_dipole_variant(spec)
+        result = validate_dipole(spec)
         assert result.dual_e_theta_peak <= 1e-12
         assert result.pattern_swap_mismatch <= 1e-10
 
     def test_double_duality_restores_fields_up_to_sign(self, spec):
-        result = magnetic_dipole_variant(spec)
+        result = validate_dipole(spec)
         assert result.double_dual_field_residual <= 1e-12
 
     def test_degree_count_unchanged(self, spec):

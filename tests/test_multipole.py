@@ -1,5 +1,7 @@
 """Field synthesis, far fields, duality, and radiated power."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from helpers import random_coefficients
 from oracles import legendre_theta_orders
 from spheremodes import (CoefficientSet, Medium, coefficient_deviation, duality,
                          far_field, make_grid, radiated_power, sph_harmonic, synthesize)
-from spheremodes import modes_upto, vec_X, vec_Z
+from spheremodes import modes_upto, multipole, vec_X, vec_Z
 from spheremodes.harmonics import GridResolutionWarning, mode_count, mode_slot
 from spheremodes.specfun import riccati_h1_deriv, sph_hankel1
 
@@ -335,6 +337,27 @@ class TestSeparableFarField:
     def test_empty_directions_give_an_empty_pattern(self, medium, rng):
         pattern = far_field(random_coefficients(3, medium, rng), np.empty((0, 2)))
         assert pattern.e_theta.shape == pattern.e_phi.shape == (0,)
+
+    def test_blocks_of_directions_keep_the_bits(self, medium, rng, monkeypatch):
+        c = random_coefficients(8, medium, rng)
+        dirs = np.column_stack([rng.uniform(0.0, np.pi, 50), rng.uniform(0.0, 2 * np.pi, 50)])
+        want = pattern_bits(c, dirs)
+        monkeypatch.setattr(multipole, "FAR_FIELD_BLOCK", 7)  # 8 blocks, the last one short
+        assert np.array_equal(pattern_bits(c, dirs), want)
+
+    def test_peak_memory_bounded_at_degree_40(self, rng):
+        # 82 x 164 directions in blocks: no (directions, orders) array per
+        # component of the whole grid at once (53 MB when it was built)
+        c = random_coefficients(40, Medium(k=1.0), rng)
+        directions = np.column_stack([np.repeat(np.arange(82) * np.pi / 81, 164),
+                                      np.tile(np.arange(164) * (2.0 * np.pi) / 164, 82)])
+        tracemalloc.start()
+        try:
+            far_field(c, directions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("column", [0, 1])

@@ -15,15 +15,6 @@ def _run(script, *args):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_dipole_validation_writes_three_patterns(tmp_path):
-    run = _run("run_dipole_validation.py", "--out-prefix", str(tmp_path / "d"))
-    assert run.returncode == 0, run.stderr
-    for tag in ("direct", "from_radial", "dual"):
-        lines = (tmp_path / f"d_{tag}.csv").read_text().splitlines()
-        assert lines[0].startswith("theta_rad,phi_rad,")
-        assert len(lines) == 1 + 181
-
-
 def test_route_equivalence_runs():
     run = _run("run_route_equivalence.py", "--lmax", "4")
     assert run.returncode == 0, run.stderr
