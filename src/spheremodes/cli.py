@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -129,12 +130,16 @@ def cmd_dipole(args) -> int:
     require_positive("frequency", args.freq)
     _check_tolerance(args.tol)
     spec = dipole_mod.DipoleSpec(args.current, SPEED_OF_LIGHT / args.freq)
+    paths = [f"{args.out_prefix}_{name}.csv" for name in
+             ("radial_source", "farfield_direct", "farfield_from_radial", "farfield_dual")]
+    for path in paths:  # before any file is written, so a bad path leaves none behind
+        if os.path.isdir(path):
+            raise InputError(f"output path {path} is a directory")
     report = dipole_mod.validate_dipole(spec, grid_l_max=args.grid_lmax, n_theta=args.n_theta)
-    write_field_file(f"{args.out_prefix}_radial_source.csv", report.source, None, args.freq)
-    for name, pattern in (("direct", report.direct), ("from_radial", report.recovered),
-                          ("dual", report.dual)):
-        write_pattern_csv(f"{args.out_prefix}_farfield_{name}.csv", *pattern.directions.T,
-                          pattern.e_theta, pattern.e_phi, normalize=True)
+    write_field_file(paths[0], report.source, None, args.freq)
+    for path, pattern in zip(paths[1:], (report.direct, report.recovered, report.dual)):
+        write_pattern_csv(path, *pattern.directions.T, pattern.e_theta, pattern.e_phi,
+                          normalize=True)
     print(f"roundtrip_rms_deviation={report.rms_deviation:.6e}")
     print(f"e_phi_negligible={'true' if report.e_phi_negligible else 'false'}")
     print(f"dual_radial_h_mismatch={report.radial_h_mismatch:.6e}")

@@ -2,28 +2,20 @@
 independent routes, and the numerical equivalence report that shows all
 three determine the same coefficients.
 
-Routes and their inversion constants (x0 = k r0, h_l = h_l^(1)(x0),
-D_l = d/dx [x h_l(x)] at x0):
+Each route projects the field it reads onto two harmonic kinds and divides
+each projection by that term's scale * f in multipole's expansion table
+(x0 = k r0, D_l = d/dx [x h_l(x)] at x0). The Z terms carry the factor i k
+that term-by-term inversion requires, as in a_E = x0 / (i Z0 D_l)
+Int conj(Z_lm).E; a variant r0/D_l without it is dimensionally inconsistent
+and misses the round trip by exactly i/k (the regression suite pins this).
 
-    radial        a_E = (1/Z0) (1/h_l) (x0/sqrt(l(l+1))) Int conj(Y_lm r^).E
-                  a_M =      - (1/h_l) (x0/sqrt(l(l+1))) Int conj(Y_lm r^).H
-    tangential-E  a_M = (1/(Z0 h_l))                     Int conj(X_lm).E
-                  a_E = x0 / (i Z0 D_l)                  Int conj(Z_lm).E
-    tangential-H  a_E = (1/h_l)                          Int conj(X_lm).H
-                  a_M = i x0 / D_l                       Int conj(Z_lm).H
-
-The two Z-projection constants include the factor i k that term-by-term
-inversion of the expansion requires; a variant of the form r0/D_l without it
-is dimensionally inconsistent and misses the round trip by exactly i/k (the
-regression suite pins this).
-
-Each route reads only the sample components it is entitled to: the radial
-route never touches tangential columns, the tangential routes never touch
-the radial column. Modes whose divisor magnitude is far above the
-best-conditioned degree amplify sample noise; they are reported (a warning
-above CONDITION_THRESHOLD, a flagged degree above FLAG_THRESHOLD), not fixed.
-Routes run together share work: each field is projected once for every kind
-they read, and (h_l, D_l) is evaluated once for every route.
+Each route's bits do not depend on the sample components it is not entitled
+to: the radial route uses no product of a tangential column, the tangential
+routes none of the radial column. Modes whose divisor magnitude is far above
+the best-conditioned degree amplify sample noise; they are reported (a
+warning above CONDITION_THRESHOLD, a flagged degree above FLAG_THRESHOLD),
+not fixed. Routes run together share work: each field is projected once,
+and (h_l, D_l) is evaluated once for every route.
 """
 
 from __future__ import annotations
@@ -35,8 +27,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .harmonics import FieldSamples, _project, mode_degrees
-from .multipole import CoefficientSet, Medium, coefficient_deviation
+from .harmonics import FieldSamples, _project
+from .multipole import CoefficientSet, Medium, _expansion, coefficient_deviation
 from .specfun import radial_factors
 
 ROUTE_RADIAL = "radial"
@@ -46,16 +38,12 @@ ROUTE_TAN_H = "tangential-H"
 CONDITION_THRESHOLD = 1e6  # amplification above which extraction warns
 FLAG_THRESHOLD = 1e3  # amplification above which a report flags the degree
 
-# How each route recovers (a_E, a_M): the field it projects, the projection
-# kind, and the per-degree divisor of that projection as a function of
-# (x0, Z0, sqrt(l(l+1)), h_l, D_l) -- the inversion constants listed above.
+# The (field, projection kind) pairs each route inverts for (a_E, a_M); the
+# expansion table gives each pair's family and divisor.
 _ROUTE_TERMS = {
-    ROUTE_RADIAL: (("E", "Yr", lambda x0, z0, root, h, d: z0 * h * root / x0),
-                   ("H", "Yr", lambda x0, z0, root, h, d: -h * root / x0)),
-    ROUTE_TAN_E: (("E", "Z", lambda x0, z0, root, h, d: 1j * z0 * d / x0),
-                  ("E", "X", lambda x0, z0, root, h, d: z0 * h)),
-    ROUTE_TAN_H: (("H", "X", lambda x0, z0, root, h, d: h),
-                  ("H", "Z", lambda x0, z0, root, h, d: d / (1j * x0))),
+    ROUTE_RADIAL: (("E", "Yr"), ("H", "Yr")),
+    ROUTE_TAN_E: (("E", "Z"), ("E", "X")),
+    ROUTE_TAN_H: (("H", "X"), ("H", "Z")),
 }
 
 
@@ -100,7 +88,7 @@ def _condition(route: str, h: np.ndarray, d: np.ndarray) -> Dict[int, float]:
     if route not in _ROUTE_TERMS:
         raise ValueError(f"unknown route {route!r}")
     mags = np.maximum.reduce([np.abs(d if kind == "Z" else h)
-                              for _, kind, _ in _ROUTE_TERMS[route]])
+                              for _, kind in _ROUTE_TERMS[route]])
     return {l: float(mag) for l, mag in enumerate(mags, 1)}
 
 
@@ -116,12 +104,9 @@ def _amplification(condition: Dict[int, float]) -> Dict[int, float]:
 
 def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int):
     """{route: (coefficients, condition indicators)} for the routes, from one
-    projection call per field (every kind the routes read from it) and one
-    (h_l, D_l) evaluation shared by every route's indicators and divisors."""
-    wanted = {}  # field -> the projection kinds the routes read from it, as an ordered set
-    for field, kind, _ in itertools.chain.from_iterable(_ROUTE_TERMS[r] for r in routes):
-        wanted.setdefault(field, {})[kind] = None
-    samples = {field: {"E": e, "H": h}[field] for field in wanted}
+    projection call per field they read and one (h_l, D_l) evaluation shared
+    by every route's indicators and by the expansion table's divisors."""
+    samples = {field: {"E": e, "H": h}[field] for r in routes for field, _ in _ROUTE_TERMS[r]}
     for kind, fields in samples.items():
         if fields.field_kind != kind:
             raise ValueError(f"expected {kind} samples, got {fields.field_kind}")
@@ -145,13 +130,17 @@ def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max
                 f"sphere (divisor amplification above {CONDITION_THRESHOLD:g}); recovered "
                 f"coefficients there amplify sample noise",
                 ConditioningWarning, stacklevel=3)
-    projected = {(field, kind): values for field, kinds in wanted.items()
-                 for kind, values in zip(kinds, _project(samples[field], tuple(kinds), l_max))}
-    l = mode_degrees(l_max)
-    factors = (x0, med.z0, np.sqrt(l * (l + 1.0)), h_l[l - 1], d_l[l - 1])
-    return {route: (CoefficientSet(l_max, med, *(projected[field, kind] / divisor(*factors)
-                                                 for field, kind, divisor in _ROUTE_TERMS[route])),
-                    condition) for route, condition in conditions.items()}
+    projected = {field: _project(values, l_max) for field, values in samples.items()}
+    table = _expansion(med, x0, h_l, d_l)
+
+    def recovered(route):  # each projection over its divisor, as the family it determines
+        terms = {}
+        for field, kind in _ROUTE_TERMS[route]:
+            family, scale, f = table[field, kind]
+            terms[family] = projected[field][kind] / (scale * f)
+        return CoefficientSet(l_max, med, **terms)
+
+    return {route: (recovered(route), condition) for route, condition in conditions.items()}
 
 
 def extract_radial(e: FieldSamples, h: FieldSamples, l_max: int) -> CoefficientSet:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .harmonics import (FieldSamples, SphereGrid, make_grid, mode_degrees, mode_orders,
                         require_positive)
-from .multipole import (SPEED_OF_LIGHT, CoefficientSet, Medium, mode_count, mode_slot,
-                        modes_upto)
+from .multipole import CoefficientSet, Medium, mode_count, mode_slot, modes_upto
 
 COEFF_SCHEMA_VERSION = "1"
 
@@ -223,10 +222,9 @@ def read_field_file(path) -> FieldFileData:
         grid_l_max, n_theta, n_phi = (int(meta[key]) for key in ("grid_l_max", "n_theta", "n_phi"))
         if len(rows) != n_theta * n_phi:  # before make_grid allocates the declared grid
             raise FormatError(f"{len(rows)} node rows for a declared {n_theta} x {n_phi} grid")
-        k = float(meta["k_rad_per_m"]) if "k_rad_per_m" in meta else (
-            2.0 * np.pi * frequency / SPEED_OF_LIGHT)
-        z0 = float(meta["Z0_ohm"]) if "Z0_ohm" in meta else None
-        medium = Medium(k=k) if z0 is None else Medium(k=k, z0=z0)
+        free = Medium.free_space(frequency)  # for whichever of k and Z0 is not declared
+        medium = Medium(k=float(meta.get("k_rad_per_m", free.k)),
+                        z0=float(meta.get("Z0_ohm", free.z0)))
         grid = make_grid(grid_l_max, radius, n_theta=n_theta, n_phi=n_phi)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -6,17 +6,15 @@ The transverse harmonics used throughout are
     X_lm = (1/sqrt(l(l+1))) (1/i) (-dY/dtheta phi^ + (1/sin theta) dY/dphi theta^)
     Z_lm = r^ x X_lm
 
-and Y_lm r^ is the radial one. Each is a theta profile times e^{i m phi}, and
-synthesis, projection and the far field use three kinds of dot product
-(np.vecdot) of two contiguous rows: the phi step (n_phi terms), a phase row
-with one polar node's weighted samples; the theta step (n_theta), a mode's
-profile with its order's phi-step results; the degree step (order_sums,
-l_max terms for a radial component, 2 l_max for a tangential one), an
-order's weights with one polar angle's profiles. Each entry's bits depend
-only on its two rows, not on batching, sample layout or other columns; and
-OpenBLAS splits only dot products of more than 10 000 terms across threads,
-so they do not depend on the BLAS thread count while n_theta, n_phi,
-2 l_max <= 10 000.
+and Y_lm r^ is the radial one. Each is a theta profile times e^{i m phi}.
+A projection is a phi step then a theta step, each one np.vecdot of two
+contiguous rows (n_phi, then n_theta terms). Synthesis and the far field sum
+each order's degrees (order_sums: one np.vecdot of l_max or 2 l_max terms per
+order and polar angle), then the orders: by one matmul per field and polar
+node in synthesis, by one np.vecdot per direction in the far field. Each
+vecdot entry's bits depend only on its two rows, not on batching, sample
+layout or other columns, nor on the BLAS thread count while n_theta, n_phi,
+2 l_max <= 10 000 (OpenBLAS splits only longer dot products).
 """
 
 from __future__ import annotations
@@ -289,15 +287,11 @@ def order_sums(weights, profiles, l_max: int) -> np.ndarray:
     return np.vecdot(w.reshape(*w.shape[:-3], 1, *shape), rows)
 
 
-def _project(samples: FieldSamples, kinds, l: int, mode: Optional[ModeIndex] = None):
-    """Quadrature sums of conj(V) . w F, one per kind V in kinds, for one mode
-    or for every mode up to degree l (mode None) in mode_slot order. The
-    columns the kinds read are weighted once into a fresh contiguous array and
-    share one phi step; 'Yr' and 'X' share one theta step, and 'Z' takes X's
-    profiles against the swapped tangential pair."""
-    for kind in kinds:
-        if kind not in PROJECTION_KINDS:
-            raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
+def _project(samples: FieldSamples, l: int, mode: Optional[ModeIndex] = None):
+    """{kind: quadrature sums of conj(V) . w F} for each kind V of PROJECTION_KINDS,
+    for one mode or for every mode up to degree l (mode None) in mode_slot order.
+    The three columns are weighted once into a fresh contiguous array and share
+    one phi step; a theta step dots one profile with one column's phi sums."""
     grid = samples.grid
     if l > grid.l_max:
         warnings.warn(
@@ -305,36 +299,35 @@ def _project(samples: FieldSamples, kinds, l: int, mode: Optional[ModeIndex] = N
             f"l_max={grid.l_max}; the quadrature may alias",
             GridResolutionWarning, stacklevel=3)
     profiles, phases = grid.basis(l)
-    lo, hi = (0 if "Yr" in kinds else 1), (3 if "X" in kinds or "Z" in kinds else 1)
-    f = np.multiply(samples.values.T[lo:hi], grid.weights, order="C").reshape(
-        -1, grid.n_theta, grid.n_phi)
-    if mode is None:
-        rows = profiles[:, lo:hi]
-        g = np.vecdot(phases[:, None, None], f)[mode_orders(l) + l]
-    else:
-        rows = profiles[mode_slot(mode.l, mode.m), lo:hi]
-        g = np.vecdot(phases[l + mode.m], f)
-    t = np.vecdot(rows, g).T if "Yr" in kinds or "X" in kinds else None
-    if "Z" in kinds:  # the tangential pair's profiles against the swapped pair's phi sums
-        z = np.vecdot(rows if lo else rows[..., 1:, :], g[..., :-3:-1, :]).T
-    out = []  # a loop, not a comprehension: one-mode calls pay for every step
-    for kind in kinds:
-        out.append(t[0] if kind == "Yr" else t[-2] + t[-1] if kind == "X" else z[0] - z[1])
-    return out
+    f = np.multiply(samples.values.T, grid.weights, order="C").reshape(3, grid.n_theta, -1)
+    if mode is not None:  # a[i][j]: profile i against column j's phi sums, all in one call
+        a = np.vecdot(profiles[mode_slot(mode.l, mode.m), :, None],
+                      np.vecdot(phases[l + mode.m], f)).tolist()
+        return {"Yr": a[0][0], "X": a[1][1] + a[2][2], "Z": a[1][2] - a[2][1]}
+    # every mode: the five pairs used, kinds leading so each kind's sums are contiguous
+    g = np.take(np.vecdot(phases[:, None], f[:, None]), mode_orders(l) + l, axis=1)
+    profiles = profiles.swapaxes(0, 1)
+    t, z = np.vecdot(profiles, g), np.vecdot(profiles[1:], g[:0:-1])
+    return {"Yr": t[0], "X": t[1] + t[2], "Z": z[0] - z[1]}
 
 
 def project(samples: FieldSamples, kind: str, mode: ModeIndex) -> complex:
     """Quadrature approximation of integral conj(V_lm) . F dOmega.
 
-    kind selects V: 'X', 'Z', or 'Yr' (= Y_lm r^). Only the components the
-    chosen harmonic has are read: 'Yr' touches the radial column alone, 'X'
-    and 'Z' the tangential columns alone. Warns (GridResolutionWarning) when
-    the mode degree exceeds the grid's declared exactness.
+    kind selects V: 'X', 'Z', or 'Yr' (= Y_lm r^). All three are computed
+    together, each from its own products, so the result's bits do not depend
+    on the components the harmonic lacks: 'Yr' on the tangential columns,
+    'X' and 'Z' on the radial one. Warns (GridResolutionWarning) when the
+    mode degree exceeds the grid's declared exactness.
     """
-    return complex(_project(samples, (kind,), mode.l, mode)[0])
+    if kind not in PROJECTION_KINDS:
+        raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
+    return complex(_project(samples, mode.l, mode)[kind])
 
 
 def project_all(samples: FieldSamples, kind: str, l_max: int) -> np.ndarray:
     """project() for every mode with l <= l_max at once, in mode_slot order;
     each entry equals the single-mode result bit for bit."""
-    return _project(samples, (kind,), l_max)[0]
+    if kind not in PROJECTION_KINDS:
+        raise ValueError(f"kind must be one of {PROJECTION_KINDS}, got {kind!r}")
+    return _project(samples, l_max)[kind]

@@ -143,6 +143,23 @@ class FarFieldPattern:
         return self.e_theta / self.z0
 
 
+def _expansion(medium: Medium, x: float, h: np.ndarray, d: np.ndarray):
+    """The expansion above as {(field, kind): (family, scale, f)}: the part of E
+    or H along kind V is scale * a * f per mode slot, a being the slot's a_e or
+    a_m and f built from one (h, d) = radial_factors(l_max, x)."""
+    l = mode_degrees(len(h))
+    f_x, f_z = h[l - 1], 1j * d[l - 1] / x
+    f_rad, z0 = np.sqrt(l * (l + 1.0)) * f_x / x, medium.z0
+    return {("E", "Yr"): ("a_e", z0, f_rad), ("H", "Yr"): ("a_m", -1.0, f_rad),
+            ("E", "X"): ("a_m", z0, f_x), ("H", "X"): ("a_e", 1.0, f_x),
+            ("E", "Z"): ("a_e", z0, f_z), ("H", "Z"): ("a_m", -1.0, f_z)}
+
+
+def _tangential(w_x, w_z):
+    """(theta, phi) rows of (X_theta, X_phi) weights for w_x X + w_z Z, Z = (-X_phi, X_theta)."""
+    return [[w_x, -w_z], [w_z, w_x]]
+
+
 def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
     """Evaluate (E, H) of a coefficient set on a sphere grid at radius r.
 
@@ -157,24 +174,15 @@ def synthesize(coeffs: CoefficientSet, r: float, grid: SphereGrid):
             f"only to l_max={grid.l_max}; downstream projections may alias",
             GridResolutionWarning, stacklevel=2)
     grid_at = grid if r == grid.r0 else grid.with_radius(r)
-    med = coeffs.medium
-    x = med.k * r
-    l_max = coeffs.l_max
+    med, l_max, x = coeffs.medium, coeffs.l_max, coeffs.medium.k * r
     profiles, phases = grid_at.basis(l_max)
-    h, d = radial_factors(l_max, x)
-    l = mode_degrees(l_max)
-    f_x = h[l - 1]
-    f_rad = np.sqrt(l * (l + 1.0)) * f_x / x
-    f_z = 1j * d[l - 1] / x
-    a_e, a_m = coeffs.a_e, coeffs.a_m
-    # per mode E = u X + v Z + s Y r^ and H = p X + q Z + t Y r^, Z = (-X_phi, X_theta):
-    # weights of (Y, X_theta, X_phi) in the (r, theta, phi) components of E and H
-    u, v, s = med.z0 * a_m * f_x, med.z0 * a_e * f_z, med.z0 * a_e * f_rad
-    p, q, t = a_e * f_x, -a_m * f_z, -a_m * f_rad
+    w = {key: (scale * getattr(coeffs, family)) * f  # per (field, kind) mode weights
+         for key, (family, scale, f) in _expansion(med, x, *radial_factors(l_max, x)).items()}
+    radial = np.array([[[w[field, "Yr"]]] for field in "EH"])
+    tangential = np.array([_tangential(w[field, "X"], w[field, "Z"]) for field in "EH"])
     # (E/H, r/theta/phi, theta node, order): r reads Y, theta and phi (X_theta, X_phi)
-    sums = np.concatenate((order_sums(np.array([[[s]], [[t]]]), profiles[:, :1], l_max),
-                           order_sums(np.array([[[u, -v], [v, u]], [[p, -q], [q, p]]]),
-                                      profiles[:, 1:], l_max)), axis=1)
+    sums = np.concatenate((order_sums(radial, profiles[:, :1], l_max),
+                           order_sums(tangential, profiles[:, 1:], l_max)), axis=1)
     fields = np.matmul(phases.T, sums.transpose(0, 2, 3, 1)).reshape(2, grid_at.n_nodes, 3)
     return (FieldSamples(grid_at, "E", fields[0], med), FieldSamples(grid_at, "H", fields[1], med))
 
@@ -209,9 +217,8 @@ def far_field(coeffs: CoefficientSet, directions) -> FarFieldPattern:
     l_max = coeffs.l_max
     l = mode_degrees(l_max)
     scale = med.z0 * np.array([1, -1j, -1, 1j])[(l + 1) % 4]
-    u, v = scale * coeffs.a_m, scale * coeffs.a_e  # Z0 (-i)^{l+1} a
-    # u X - v Z with Z = (-X_phi, X_theta), in (E_theta, E_phi)
-    sums = order_sums(np.array([[u, v], [-v, u]]), theta_profiles(l_max, theta)[:, 1:], l_max)
+    weights = _tangential(scale * coeffs.a_m, -(scale * coeffs.a_e))  # Z0 (-i)^{l+1} a
+    sums = order_sums(np.array(weights), theta_profiles(l_max, theta)[:, 1:], l_max)
     # vecdot conjugates its first operand: these rows are conj(e^{i m phi})
     phases = np.conj(phase_rows(l_max, phi)).T
     pattern = np.empty((2, len(directions)), complex)

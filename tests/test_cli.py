@@ -405,6 +405,12 @@ class TestDipoleCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    def test_directory_in_the_way_leaves_no_output(self, tmp_path, capsys):
+        (tmp_path / "P_farfield_direct.csv").mkdir()
+        assert main(["dipole", "--out-prefix", str(tmp_path / "P")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "P_radial_source.csv").exists()
+
     def test_pattern_files_have_a_row_per_angle(self, tmp_path):
         main(["dipole", "--n-theta", "37", "--out-prefix", str(tmp_path / "d")])
         for tag in ("direct", "from_radial", "dual"):

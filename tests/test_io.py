@@ -277,6 +277,22 @@ class TestFieldFile:
         with pytest.raises(FormatError, match=f"preamble key {key} missing"):
             read_field_file(path)
 
+    @pytest.mark.parametrize("dropped", [("k_rad_per_m",), ("Z0_ohm",), ("k_rad_per_m", "Z0_ohm")])
+    def test_undeclared_medium_is_free_space(self, tmp_path, rng, dropped):
+        medium = Medium(k=np.pi / 2, z0=50.0)
+        e, h = synthesize(random_coefficients(2, medium, rng), 1.0, make_grid(2, 1.0))
+        path = tmp_path / "f.csv"
+        write_field_file(path, e, h, 3e8)
+        path.write_text("\n".join(line for line in path.read_text().splitlines()
+                                  if line.lstrip("# ").split("=")[0] not in dropped) + "\n")
+        free = Medium.free_space(3e8)
+        want = Medium(k=free.k if "k_rad_per_m" in dropped else medium.k,
+                      z0=free.z0 if "Z0_ohm" in dropped else medium.z0)
+        got = read_field_file(path).medium
+        assert (got.k.hex(), got.z0.hex()) == (want.k.hex(), want.z0.hex())
+        if len(dropped) == 2:
+            assert got == free
+
     def test_rejects_row_count_mismatch(self, tmp_path, medium, rng):
         c = random_coefficients(2, medium, rng)
         grid = make_grid(2, 1.0)
