@@ -2,14 +2,14 @@
 """Route-equivalence experiment: synthesize a random multipole field on
 spheres of several electrical sizes, recover the coefficients three ways
 (radial E+H, tangential E, tangential H), and tabulate how well the routes
-agree, alongside the per-sphere evanescent-mode amplification."""
+agree, alongside the spread of the tangential-E route's noise gain: its
+largest per-degree coefficient error per unit sample noise over its smallest."""
 
 import argparse
 
 import numpy as np
 
 from spheremodes import CoefficientSet, Medium, equivalence_report, make_grid, mode_count, synthesize
-from spheremodes.extraction import route_condition
 
 
 def random_set(l_max, medium, rng):
@@ -29,7 +29,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     r0 = 1.0
     print(f"l_max = {args.lmax}, sphere radius = {r0} m")
-    print(f"{'kr0':>8}  {'rad|tanE':>12}  {'rad|tanH':>12}  {'tanE|tanH':>12}  {'worst amp':>10}")
+    print(f"{'kr0':>8}  {'rad|tanE':>12}  {'rad|tanH':>12}  {'tanE|tanH':>12}  {'tanE gain':>10}")
     for kr0 in args.kr0:
         medium = Medium(k=kr0 / r0)
         coeffs = random_set(args.lmax, medium, rng)
@@ -37,13 +37,12 @@ def main():
         e, h = synthesize(coeffs, r0, grid)
         result = equivalence_report(e, h, args.lmax)
         dev = result.pairwise_deviation
-        amp = route_condition("tangential-E", medium, r0, args.lmax)
-        worst = max(amp.values()) / min(amp.values())
+        gain = np.concatenate(list(result.tangential_e.noise_gain.values()))
         print(f"{kr0:8.4f}  "
               f"{dev[('radial', 'tangential-E')]:12.3e}  "
               f"{dev[('radial', 'tangential-H')]:12.3e}  "
               f"{dev[('tangential-E', 'tangential-H')]:12.3e}  "
-              f"{worst:10.2e}")
+              f"{gain.max() / gain.min():10.2e}")
     print("\nAll three routes read disjoint sample components; agreement at the")
     print("roundoff floor is the numerical statement that radial data on the")
     print("sphere pins down the same field as tangential data.")

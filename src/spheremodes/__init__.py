@@ -8,9 +8,8 @@ H = B / mu0, SI units throughout.
 """
 
 from .dipole import DipoleReport, DipoleSpec, halfwave_coeffs, validate_dipole
-from .extraction import (ConditioningWarning, EquivalenceResult, ExtractionReport,
-                         equivalence_report, extract_radial, extract_tangential_e,
-                         extract_tangential_h)
+from .extraction import (EquivalenceResult, ExtractionReport, equivalence_report,
+                         extract_radial, extract_tangential_e, extract_tangential_h)
 from .harmonics import (FieldSamples, GridResolutionWarning, SphereGrid, TangentialVector,
                         make_grid, project, vec_X, vec_Z)
 from .multipole import (CoefficientSet, FarFieldPattern, Medium, coefficient_deviation,
@@ -22,12 +21,11 @@ from .specfun import (ModeIndex, assoc_legendre_norm, riccati_h1_deriv, sph_hank
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientSet", "ConditioningWarning", "DipoleReport", "DipoleSpec",
-    "EquivalenceResult", "ExtractionReport", "FarFieldPattern", "FieldSamples",
-    "GridResolutionWarning", "Medium", "ModeIndex", "SphereGrid", "TangentialVector",
-    "assoc_legendre_norm", "coefficient_deviation", "duality", "equivalence_report",
-    "extract_radial", "extract_tangential_e", "extract_tangential_h", "far_field",
-    "halfwave_coeffs", "make_grid", "mode_count", "mode_slot", "modes_upto", "project",
-    "radiated_power", "riccati_h1_deriv", "sph_hankel1", "sph_harmonic", "synthesize",
-    "validate_dipole", "vec_X", "vec_Z",
+    "CoefficientSet", "DipoleReport", "DipoleSpec", "EquivalenceResult", "ExtractionReport",
+    "FarFieldPattern", "FieldSamples", "GridResolutionWarning", "Medium", "ModeIndex",
+    "SphereGrid", "TangentialVector", "assoc_legendre_norm", "coefficient_deviation",
+    "duality", "equivalence_report", "extract_radial", "extract_tangential_e",
+    "extract_tangential_h", "far_field", "halfwave_coeffs", "make_grid", "mode_count",
+    "mode_slot", "modes_upto", "project", "radiated_power", "riccati_h1_deriv",
+    "sph_hankel1", "sph_harmonic", "synthesize", "validate_dipole", "vec_X", "vec_Z",
 ]

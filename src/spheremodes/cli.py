@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import dipole as dipole_mod
-from .extraction import (FLAG_THRESHOLD, equivalence_report, extract_radial,
-                         extract_tangential_e, extract_tangential_h)
+from .extraction import (equivalence_report, extract_radial, extract_tangential_e,
+                         extract_tangential_h)
 from .fileio import (FIELD_COLUMNS, FormatError, read_coefficients, read_field_file,
                      write_coefficients, write_field_file, write_pattern_csv)
 from .harmonics import make_grid, require_positive
@@ -108,10 +108,6 @@ def cmd_equiv(args) -> int:
                   f"{ae.real:.12e} {ae.imag:.12e} {am.real:.12e} {am.imag:.12e}")
     for pair, dev in sorted(result.pairwise_deviation.items()):
         print(f"deviation {pair[0]} vs {pair[1]}: {dev:.6e}")
-    flagged = sorted(set().union(*(report.flagged_degrees for report in result.reports())))
-    if flagged:
-        print(f"ill-conditioned degrees (noise amplification > {FLAG_THRESHOLD:g}): {flagged}",
-              file=sys.stderr)
     print(f"max pairwise deviation: {result.max_pairwise_deviation:.6e}")
     return EXIT_OK if result.max_pairwise_deviation <= args.tol else EXIT_TOLERANCE
 
@@ -132,14 +128,18 @@ def cmd_dipole(args) -> int:
     spec = dipole_mod.DipoleSpec(args.current, SPEED_OF_LIGHT / args.freq)
     paths = [f"{args.out_prefix}_{name}.csv" for name in
              ("radial_source", "farfield_direct", "farfield_from_radial", "farfield_dual")]
-    for path in paths:  # before any file is written, so a bad path leaves none behind
-        if os.path.isdir(path):
-            raise InputError(f"output path {path} is a directory")
     report = dipole_mod.validate_dipole(spec, grid_l_max=args.grid_lmax, n_theta=args.n_theta)
-    write_field_file(paths[0], report.source, None, args.freq)
-    for path, pattern in zip(paths[1:], (report.direct, report.recovered, report.dual)):
-        write_pattern_csv(path, *pattern.directions.T, pattern.e_theta, pattern.e_phi,
-                          normalize=True)
+    written = 0  # all four files or none: a failed write removes the ones before it
+    try:
+        write_field_file(paths[0], report.source, None, args.freq)
+        for written, (path, pattern) in enumerate(
+                zip(paths[1:], (report.direct, report.recovered, report.dual)), 1):
+            write_pattern_csv(path, *pattern.directions.T, pattern.e_theta, pattern.e_phi,
+                              normalize=True)
+    except BaseException:
+        for path in paths[:written]:
+            os.remove(path)
+        raise
     print(f"roundtrip_rms_deviation={report.rms_deviation:.6e}")
     print(f"e_phi_negligible={'true' if report.e_phi_negligible else 'false'}")
     print(f"dual_radial_h_mismatch={report.radial_h_mismatch:.6e}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import extract_radial
-from .harmonics import FieldSamples, SphereGrid, make_grid, require_positive
+from .harmonics import FieldSamples, make_grid, require_positive
 from .multipole import (CoefficientSet, FarFieldPattern, Medium, duality, far_field,
                         synthesize)
 
@@ -85,17 +85,6 @@ def _radial_only(samples: FieldSamples) -> FieldSamples:
     values = np.zeros_like(samples.values)
     values[:, 0] = samples.values[:, 0]
     return FieldSamples(samples.grid, samples.field_kind, values, samples.medium)
-
-
-def radial_source_on_sphere(spec: DipoleSpec, grid: SphereGrid) -> FieldSamples:
-    """The radial electric field on the lambda/4 sphere, tangential columns
-    zeroed: the 'source' data the round trip starts from."""
-    if not np.isclose(grid.r0, spec.source_radius, rtol=1e-12, atol=0.0):
-        raise ValueError(
-            f"grid radius {grid.r0} is not the quarter-wave sphere {spec.source_radius}")
-    if grid.l_max < DIPOLE_L_MAX:
-        raise ValueError(f"grid exactness {grid.l_max} below dipole degree {DIPOLE_L_MAX}")
-    return _radial_only(synthesize(halfwave_coeffs(spec), spec.source_radius, grid)[0])
 
 
 def validate_dipole(spec: DipoleSpec, grid_l_max: int = 8, n_theta: int = 181) -> DipoleReport:

@@ -11,32 +11,29 @@ and misses the round trip by exactly i/k (the regression suite pins this).
 
 Each route's bits do not depend on the sample components it is not entitled
 to: the radial route uses no product of a tangential column, the tangential
-routes none of the radial column. Modes whose divisor magnitude is far above
-the best-conditioned degree amplify sample noise; they are reported (a
-warning above CONDITION_THRESHOLD, a flagged degree above FLAG_THRESHOLD),
-not fixed. Routes run together share work: each field is projected once,
-and (h_l, D_l) is evaluated once for every route.
+routes none of the radial column. The same divisors give each route's noise
+law: per unit rms of complex noise on each sample component, the rms error of
+a degree-l coefficient is sqrt(Sum w_i^2 / 4 pi) / |scale * f_l|, w_i the
+quadrature weights, because Sum_m |Y_lm|^2 = Sum_m |X_lm|^2 = (2l + 1) / 4 pi.
+Routes run together share work: each field is projected once, and the table
+is built from one (h_l, D_l) evaluation for every route.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .harmonics import FieldSamples, _project
+from .harmonics import FieldSamples, SphereGrid, _project, mode_slot
 from .multipole import CoefficientSet, Medium, _expansion, coefficient_deviation
 from .specfun import radial_factors
 
 ROUTE_RADIAL = "radial"
 ROUTE_TAN_E = "tangential-E"
 ROUTE_TAN_H = "tangential-H"
-
-CONDITION_THRESHOLD = 1e6  # amplification above which extraction warns
-FLAG_THRESHOLD = 1e3  # amplification above which a report flags the degree
 
 # The (field, projection kind) pairs each route inverts for (a_E, a_M); the
 # expansion table gives each pair's family and divisor.
@@ -47,26 +44,19 @@ _ROUTE_TERMS = {
 }
 
 
-class ConditioningWarning(UserWarning):
-    """Some requested modes are deeply evanescent on the sampling sphere and
-    will amplify sample noise."""
-
-
 @dataclass(eq=False)
 class ExtractionReport:
-    """One route's result plus its numerical health.
+    """One route's result plus its noise law.
 
-    condition_indicators maps degree l to the magnitude of that degree's
-    largest divisor (|h_l| or |D_l| as the route uses them); amplification is
-    the same quantity normalized to the best-conditioned degree;
-    flagged_degrees are those whose amplification exceeds FLAG_THRESHOLD.
+    noise_gain maps each family ("a_e", "a_m") to an array of shape (l_max,):
+    entry l - 1 is the rms error over the 2l + 1 modes of degree l of the
+    recovered coefficient, per unit rms of complex noise on each sample
+    component of the field the route reads for that family.
     """
 
     route: str
     coeffs: CoefficientSet
-    condition_indicators: Dict[int, float]
-    amplification: Dict[int, float]
-    flagged_degrees: Tuple[int, ...]
+    noise_gain: Dict[str, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -83,29 +73,29 @@ class EquivalenceResult:
         return (self.radial, self.tangential_e, self.tangential_h)
 
 
-def _condition(route: str, h: np.ndarray, d: np.ndarray) -> Dict[int, float]:
-    """Per-degree max over the route's terms of |D_l| (Z projection) or |h_l| (Yr, X)."""
+def _noise_gains(routes, table, grid: SphereGrid, l_max: int):
+    """{route: {family: sqrt(Sum w^2 / 4 pi) / |scale * f_l| for l = 1..l_max}},
+    (family, scale, f) the table entry of each of the route's terms."""
+    noise = np.sqrt(np.sum(grid.weights**2) / (4.0 * np.pi))
+    degree_slots = mode_slot(np.arange(1, l_max + 1), 0)
+    return {route: {family: noise / np.abs(scale * f[degree_slots])
+                    for family, scale, f in (table[term] for term in _ROUTE_TERMS[route])}
+            for route in routes}
+
+
+def route_condition(route: str, medium: Medium, grid: SphereGrid,
+                    l_max: int) -> Dict[str, np.ndarray]:
+    """The route's noise_gain on this grid and medium, as its report carries it."""
     if route not in _ROUTE_TERMS:
         raise ValueError(f"unknown route {route!r}")
-    mags = np.maximum.reduce([np.abs(d if kind == "Z" else h)
-                              for _, kind in _ROUTE_TERMS[route]])
-    return {l: float(mag) for l, mag in enumerate(mags, 1)}
-
-
-def route_condition(route: str, medium: Medium, r0: float, l_max: int) -> Dict[int, float]:
-    """Per-degree magnitude of the largest divisor the route uses."""
-    return _condition(route, *radial_factors(l_max, medium.k * r0))
-
-
-def _amplification(condition: Dict[int, float]) -> Dict[int, float]:
-    best = min(condition.values())
-    return {l: c / best for l, c in condition.items()}
+    x0 = medium.k * grid.r0
+    table = _expansion(medium, x0, *radial_factors(l_max, x0))
+    return _noise_gains((route,), table, grid, l_max)[route]
 
 
 def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max: int):
-    """{route: (coefficients, condition indicators)} for the routes, from one
-    projection call per field they read and one (h_l, D_l) evaluation shared
-    by every route's indicators and by the expansion table's divisors."""
+    """{route: (coefficients, noise gain)} for the routes, from one projection
+    call per field they read and one expansion table shared by every route."""
     samples = {field: {"E": e, "H": h}[field] for r in routes for field, _ in _ROUTE_TERMS[r]}
     for kind, fields in samples.items():
         if fields.field_kind != kind:
@@ -120,18 +110,9 @@ def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max
             raise ValueError("E and H samples must share one medium")
     med = first.medium
     x0 = med.k * first.grid.r0
-    h_l, d_l = radial_factors(l_max, x0)
-    conditions = {route: _condition(route, h_l, d_l) for route in routes}
-    for route, condition in conditions.items():
-        bad = sorted(l for l, a in _amplification(condition).items() if a > CONDITION_THRESHOLD)
-        if bad:
-            warnings.warn(
-                f"{route} extraction: degrees {bad} are deeply evanescent on this "
-                f"sphere (divisor amplification above {CONDITION_THRESHOLD:g}); recovered "
-                f"coefficients there amplify sample noise",
-                ConditioningWarning, stacklevel=3)
+    table = _expansion(med, x0, *radial_factors(l_max, x0))
     projected = {field: _project(values, l_max) for field, values in samples.items()}
-    table = _expansion(med, x0, h_l, d_l)
+    gains = _noise_gains(routes, table, first.grid, l_max)
 
     def recovered(route):  # each projection over its divisor, as the family it determines
         terms = {}
@@ -140,7 +121,7 @@ def _extract(routes, e: Optional[FieldSamples], h: Optional[FieldSamples], l_max
             terms[family] = projected[field][kind] / (scale * f)
         return CoefficientSet(l_max, med, **terms)
 
-    return {route: (recovered(route), condition) for route, condition in conditions.items()}
+    return {route: (recovered(route), gains[route]) for route in routes}
 
 
 def extract_radial(e: FieldSamples, h: FieldSamples, l_max: int) -> CoefficientSet:
@@ -163,13 +144,10 @@ def equivalence_report(e: FieldSamples, h: FieldSamples, l_max: int) -> Equivale
 
     For exactly synthesized input the pairwise deviations sit at roundoff:
     radial-only data determines the same coefficients as tangential-E or
-    tangential-H data. Per-route conditioning warnings propagate unchanged.
+    tangential-H data.
     """
-    reports = []
-    for route, (coeffs, condition) in _extract(tuple(_ROUTE_TERMS), e, h, l_max).items():
-        amp = _amplification(condition)
-        flagged = tuple(sorted(l for l, a in amp.items() if a > FLAG_THRESHOLD))
-        reports.append(ExtractionReport(route, coeffs, condition, amp, flagged))
+    reports = [ExtractionReport(route, *result)
+               for route, result in _extract(tuple(_ROUTE_TERMS), e, h, l_max).items()]
     pairwise = {(a.route, b.route): coefficient_deviation(a.coeffs, b.coeffs)
                 for a, b in itertools.combinations(reports, 2)}
     return EquivalenceResult(*reports, pairwise, max(pairwise.values()))

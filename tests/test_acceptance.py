@@ -52,7 +52,6 @@ def test_criterion_1_orthonormality():
     print(f"\nACCEPTANCE 1 orthonormality: PASS (worst abs err {worst:.2e}, {elapsed:.2f}s)")
 
 
-@pytest.mark.filterwarnings("ignore::spheremodes.ConditioningWarning")
 def test_criterion_2_round_trip_per_route():
     """Each route recovers every coefficient of random sets to 1e-9 relative,
     l_max in {4, 10} x kr0 in {0.5, pi/2, 3, 10}.
@@ -60,9 +59,8 @@ def test_criterion_2_round_trip_per_route():
     Per-degree magnitudes are drawn balanced on the sampling sphere: at
     kr0 = 0.5 the degree-10 divisor is ~1e12 times the degree-1 one, so with
     equal-magnitude draws the low-degree field information falls below
-    float64 resolution and no extraction method could recover it. The
-    conditioning machinery duly warns about those degrees; that is the
-    expected report, not a failure.
+    float64 resolution and no extraction method could recover it. Balanced,
+    every degree comes back at the roundoff floor.
     """
     rng = np.random.default_rng(314)
     r0 = 1.0

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from spheremodes import make_grid
-from spheremodes.dipole import (DIPOLE_L_MAX, DipoleSpec, halfwave_coeffs,
-                                radial_source_on_sphere, validate_dipole)
+from spheremodes.dipole import DIPOLE_L_MAX, DipoleSpec, halfwave_coeffs, validate_dipole
 from spheremodes.multipole import modes_upto
 
 
@@ -62,39 +60,33 @@ class TestHalfwaveCoeffs:
 
 
 class TestRadialSource:
-    def test_phi_invariant(self, spec):
-        grid = make_grid(8, spec.source_radius)
-        source = radial_source_on_sphere(spec, grid)
+    """The run's source data: E_r on the quarter-wave sphere, tangential columns zeroed."""
+
+    @pytest.fixture
+    def source(self, spec):
+        return validate_dipole(spec).source
+
+    def test_phi_invariant(self, source):
+        grid = source.grid
         e_r = source.values[:, 0].reshape(grid.n_theta, grid.n_phi)
         assert np.abs(e_r - e_r[:, :1]).max() == 0.0
 
-    def test_tangential_zeroed(self, spec):
-        grid = make_grid(8, spec.source_radius)
-        source = radial_source_on_sphere(spec, grid)
+    def test_tangential_zeroed(self, source):
         assert np.all(source.values[:, 1:] == 0)
 
-    def test_antisymmetric_about_equator(self, spec):
-        grid = make_grid(8, spec.source_radius)
-        source = radial_source_on_sphere(spec, grid)
+    def test_antisymmetric_about_equator(self, source):
+        grid = source.grid
         e_r = source.values[:, 0].reshape(grid.n_theta, grid.n_phi)
         peak = np.abs(e_r).max()
         assert np.abs(e_r + e_r[::-1, :]).max() <= 1e-13 * peak
 
-    def test_real_and_imag_both_live(self, spec):
+    def test_real_and_imag_both_live(self, source):
         # kr0 = pi/2 mixes the standing and outgoing parts of h^(1)
-        grid = make_grid(8, spec.source_radius)
-        source = radial_source_on_sphere(spec, grid)
-        node = np.argmin(np.abs(grid.theta - np.pi / 4))
+        node = np.argmin(np.abs(source.grid.theta - np.pi / 4))
         value = source.values[node, 0]
         peak = np.abs(source.values[:, 0]).max()
         assert abs(value.real) > 1e-3 * peak
         assert abs(value.imag) > 1e-3 * peak
-
-    def test_rejects_wrong_radius_or_coarse_grid(self, spec):
-        with pytest.raises(ValueError):
-            radial_source_on_sphere(spec, make_grid(8, 0.3))
-        with pytest.raises(ValueError):
-            radial_source_on_sphere(spec, make_grid(4, spec.source_radius))
 
 
 class TestRoundTrip:
@@ -132,11 +124,6 @@ class TestRoundTrip:
         # both sit at the roundoff floor, far below the 1e-9 gate; doubling
         # the grid may only move the report within that floor
         assert abs(d2 - d1) <= max(1e-3 * d1, 1e-12)
-
-    def test_source_is_the_radial_source(self, spec):
-        report = validate_dipole(spec, grid_l_max=8)
-        want = radial_source_on_sphere(spec, make_grid(8, spec.source_radius))
-        assert np.array_equal(report.source.values, want.values)
 
     @pytest.mark.parametrize("grid_l_max, n_theta, match", [
         (4, 181, "below dipole degree"), (8, 0, "n_theta must be >= 1"),
